@@ -8,7 +8,13 @@
 //	mqbench -experiment=all -clients=16 -queries=16 -csv=out/
 //
 // Experiments: e1 (caching effect), fig4, fig5, fig6, fig7, a1 (CF alpha),
-// a2 (PS dedup), a3 (blocking), calibration, all.
+// a2 (PS dedup), a3 (blocking), a4 (chunk read-ahead), x1 (future-work
+// strategies), x2 (browsing patterns), x3 (seed robustness), v1 (volume
+// app), calibration, timeline (utilization sparklines), all (every one but
+// timeline).
+//
+// -policy selects the strategy of -workload and -trace-out single runs and
+// of the timeline; the sweeps choose their own strategies.
 package main
 
 import (
@@ -20,11 +26,9 @@ import (
 	"time"
 
 	"mqsched"
-	"mqsched/internal/disk"
 	"mqsched/internal/driver"
 	"mqsched/internal/experiment"
-	"mqsched/internal/metrics"
-	"mqsched/internal/sched"
+	"mqsched/internal/stack"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -35,25 +39,18 @@ func main() {
 		opName   = flag.String("op", "both", "VM implementation: subsample, average, both")
 		clients  = flag.Int("clients", 16, "number of emulated clients")
 		queries  = flag.Int("queries", 16, "queries per client")
-		threads  = flag.Int("threads", 4, "query threads (where not swept)")
-		cpus     = flag.Int("cpus", 24, "processors of the simulated SMP")
-		disks    = flag.Int("disks", 4, "spindles in the disk farm")
-		ioSched  = flag.String("io-sched", "fifo", "per-spindle service discipline: fifo (the paper's model) or elevator (reorder + merge)")
-		ioBatch  = flag.Int("io-batch", 0, "max distinct pages per merged elevator transfer (0 = default 16)")
-		ioDelay  = flag.Int("io-maxdelay", 0, "elevator starvation bound in bypassing dispatches (0 = default 8, negative = unbounded)")
-		psPre    = flag.Int("psprefetch", 0, "cap on concurrent background page prefetches (0 = 2x spindles, negative = unlimited)")
-		dsPolicy = flag.String("ds-policy", "lru", "data store cache policy: lru (the paper's cache-everything store) or cost (benefit-aware eviction + admission + materialization)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		slideSz  = flag.Int64("slide-side", 0, "slide edge in pixels (0 = the paper's 30000); small values keep -trace-out captures compact")
 		csvDir   = flag.String("csv", "", "directory to write CSV copies of each table")
 		dumpWl   = flag.String("dumpworkload", "", "write the generated workload (both ops) as JSON to this path and exit")
 		loadWl   = flag.String("workload", "", "replay a saved workload (JSON) through a single run instead of an experiment sweep")
-		policy   = flag.String("policy", "cnbf", "ranking strategy for -workload and -trace-out single runs: "+strings.Join(sched.Names(), ", "))
-		batchS   = flag.Float64("batch-starvation", 0, "batch policy aging blend toward arrival order (0 = default, negative disables aging)")
-		batchG   = flag.Int("batch-group", 0, "max queries claimed per batch dispatch (0 = default)")
-		computeW = flag.Int("compute-workers", 0, "intra-query compute worker bound, wired through to saved configs (0 = GOMAXPROCS on the real runtime; the simulated runtime is always serial)")
 		traceOut = flag.String("trace-out", "", "run one traced configuration and write its span trees as Chrome trace_event JSON to this path (open in chrome://tracing or Perfetto)")
 	)
+	sc := stack.Config{Policy: "cnbf", Threads: 4, CPUs: 24, Disks: 4, DSPolicy: "lru"}
+	flag.IntVar(&sc.CPUs, "cpus", sc.CPUs, "processors of the simulated SMP")
+	flag.IntVar(&sc.Disks, "disks", sc.Disks, "spindles in the disk farm")
+	flag.IntVar(&sc.PSPrefetchLimit, "psprefetch", 0, "cap on concurrent background page prefetches (0 = 2x spindles, negative = unlimited)")
+	parseStack := stack.BindFlags(flag.CommandLine, &sc)
 	flag.Parse()
 	switch {
 	case flag.NArg() > 0:
@@ -62,12 +59,12 @@ func main() {
 		usageError("-clients %d: need at least one client", *clients)
 	case *queries < 1:
 		usageError("-queries %d: need at least one query per client", *queries)
-	case *threads < 1:
-		usageError("-threads %d: need at least one query thread", *threads)
-	case *cpus < 1:
-		usageError("-cpus %d: the simulated SMP needs a processor", *cpus)
-	case *disks < 1:
-		usageError("-disks %d: the farm needs a spindle", *disks)
+	case sc.Threads < 1:
+		usageError("-threads %d: need at least one query thread", sc.Threads)
+	case sc.CPUs < 1:
+		usageError("-cpus %d: the simulated SMP needs a processor", sc.CPUs)
+	case sc.Disks < 1:
+		usageError("-disks %d: the farm needs a spindle", sc.Disks)
 	case *dumpWl != "" && *loadWl != "":
 		usageError("-dumpworkload and -workload are mutually exclusive")
 	}
@@ -76,26 +73,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ioSchedKind, err := disk.ParseSched(*ioSched)
-	if err != nil {
+	if err := parseStack(); err != nil {
 		fatal(err)
 	}
 	base := experiment.Config{
-		Clients:            *clients,
-		QueriesPerClient:   *queries,
-		Threads:            *threads,
-		CPUs:               *cpus,
-		Disks:              *disks,
-		IOSched:            ioSchedKind,
-		IOBatchPages:       *ioBatch,
-		IOMaxDelay:         *ioDelay,
-		Seed:               *seed,
-		SlideSide:          *slideSz,
-		PSPrefetchLimit:    *psPre,
-		DSPolicy:           *dsPolicy,
-		ComputeParallelism: *computeW,
-		BatchStarvation:    *batchS,
-		BatchMaxGroup:      *batchG,
+		Config:           sc,
+		Clients:          *clients,
+		QueriesPerClient: *queries,
+		Seed:             *seed,
+		SlideSide:        *slideSz,
 	}
 
 	if *dumpWl != "" {
@@ -107,7 +93,7 @@ func main() {
 	}
 
 	if *loadWl != "" || *traceOut != "" {
-		if err := replayWorkload(*loadWl, base, *policy, ops[0], *traceOut); err != nil {
+		if err := replayWorkload(*loadWl, base, ops[0], *traceOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -180,7 +166,7 @@ func selectExperiments(name string) []spec {
 			return []spec{s}
 		}
 	}
-	fatal(fmt.Errorf("unknown experiment %q (want e1, fig4..fig7, a1..a3, x1, calibration, all)", name))
+	fatal(fmt.Errorf("unknown experiment %q (want e1, fig4..fig7, a1..a4, x1..x3, v1, calibration, timeline, all)", name))
 	return nil
 }
 
@@ -242,9 +228,9 @@ func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
 // otherwise — and prints the headline numbers, the span-derived per-strategy
 // percentiles, and the structured end-of-run metrics summary (every
 // subsystem counter, gauge, and latency histogram from the unified
-// registry). When traceOut is non-empty the run is span-traced and the span
-// trees are written there as Chrome trace_event JSON.
-func replayWorkload(path string, base experiment.Config, policy string, op vm.Op, traceOut string) error {
+// registry). When traceOut is non-empty the span trees are written there as
+// Chrome trace_event JSON.
+func replayWorkload(path string, base experiment.Config, op vm.Op, traceOut string) error {
 	var queries [][]vm.Meta
 	if path != "" {
 		f, err := os.Open(path)
@@ -258,9 +244,9 @@ func replayWorkload(path string, base experiment.Config, policy string, op vm.Op
 		}
 	}
 	cfg := base
-	cfg.Policy = policy
 	cfg.Op = op
-	cfg.Metrics = metrics.NewRegistry()
+	cfg.EnableMetrics = true
+	cfg.TraceSpans = true
 	cfg.TraceCapacity = 1 << 16
 	m, err := experiment.RunWorkload(cfg, queries)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"mqsched/internal/geom"
 	"mqsched/internal/rt"
+	"mqsched/internal/stack"
 	"mqsched/internal/vm"
 )
 
@@ -20,16 +21,18 @@ import (
 func batchStarvationRun(t *testing.T, starvation float64, nHot int) (int, int) {
 	t.Helper()
 	cfg := Config{
-		Policy:          "batch",
-		BatchStarvation: starvation,
-		BatchMaxGroup:   1,
-		Op:              vm.Average,
-		Threads:         1,
-		Disks:           1,
-		DSBudget:        -1, // no result reuse: every hot query stays expensive
-		SlideSide:       8192,
+		Config: stack.Config{
+			Policy:          "batch",
+			BatchStarvation: starvation,
+			BatchMaxGroup:   1,
+			Threads:         1,
+			Disks:           1,
+			DSBudget:        -1, // no result reuse: every hot query stays expensive
+		},
+		Op:        vm.Average,
+		SlideSide: 8192,
 	}.withDefaults()
-	sys, err := assemble(cfg)
+	sys, err := vmStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +43,14 @@ func batchStarvationRun(t *testing.T, starvation float64, nHot int) (int, int) {
 		pos       = map[int]int{}
 		remaining = nHot + 1
 	)
-	gate := sys.rtm.NewGate("starvation drained")
+	gate := sys.Runtime.NewGate("starvation drained")
 	submit := func(idx int, m vm.Meta) {
-		tk, err := sys.srv.Submit(m)
+		tk, err := sys.Server.Submit(m)
 		if err != nil {
 			t.Errorf("submit %d: %v", idx, err)
 			return
 		}
-		sys.rtm.Spawn(fmt.Sprintf("starve-wait-%d", idx), func(ctx rt.Ctx) {
+		sys.Runtime.Spawn(fmt.Sprintf("starve-wait-%d", idx), func(ctx rt.Ctx) {
 			tk.Wait(ctx)
 			mu.Lock()
 			order++
@@ -60,7 +63,7 @@ func batchStarvationRun(t *testing.T, starvation float64, nHot int) (int, int) {
 			}
 		})
 	}
-	sys.rtm.Spawn("starve-dispatch", func(ctx rt.Ctx) {
+	sys.Runtime.Spawn("starve-dispatch", func(ctx rt.Ctx) {
 		// The disjoint query arrives first (Seq 1) on a different dataset,
 		// so its hotness is exactly zero against the entire hot stream.
 		submit(0, vm.NewMeta("slide2", geom.R(4096, 4096, 6144, 6144), 8, vm.Average))
@@ -68,11 +71,11 @@ func batchStarvationRun(t *testing.T, starvation float64, nHot int) (int, int) {
 			submit(i, vm.NewMeta("slide1", geom.R(0, 0, 2048, 2048), 8, vm.Average))
 		}
 	})
-	sys.rtm.Spawn("starve-closer", func(ctx rt.Ctx) {
+	sys.Runtime.Spawn("starve-closer", func(ctx rt.Ctx) {
 		gate.Wait(ctx)
-		sys.srv.Close()
+		sys.Server.Close()
 	})
-	if err := sys.eng.Run(); err != nil {
+	if err := sys.Engine.Run(); err != nil {
 		t.Fatalf("starvation run (s=%v): %v", starvation, err)
 	}
 	if len(pos) != nHot+1 {

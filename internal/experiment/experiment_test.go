@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mqsched/internal/driver"
+	"mqsched/internal/stack"
 	"mqsched/internal/vm"
 )
 
@@ -16,7 +17,7 @@ func generateFor(cfg Config) [][]vm.Meta {
 		QueriesPerClient: cfg.QueriesPerClient,
 		Op:               cfg.Op,
 		Seed:             cfg.Seed,
-		Mode:             cfg.Mode,
+		Mode:             cfg.Browse,
 	}, driver.PaperSlides())
 }
 
@@ -49,7 +50,7 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRunUnknownPolicy(t *testing.T) {
-	if _, err := Run(Config{Policy: "zzz", Clients: 1, QueriesPerClient: 1}); err == nil {
+	if _, err := Run(Config{Config: stack.Config{Policy: "zzz"}, Clients: 1, QueriesPerClient: 1}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -291,7 +292,7 @@ func TestExtensionsAndStudiesRun(t *testing.T) {
 func TestAllPoliciesCompleteAndDeterministic(t *testing.T) {
 	pols := append(append([]string{}, Policies...), "combined", "autotune", "ra")
 	for _, pol := range pols {
-		cfg := Config{Op: vm.Subsample, Clients: 6, QueriesPerClient: 3, Seed: 8, Policy: pol}
+		cfg := Config{Config: stack.Config{Policy: pol}, Op: vm.Subsample, Clients: 6, QueriesPerClient: 3, Seed: 8}
 		a, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)

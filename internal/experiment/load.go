@@ -54,7 +54,7 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 		return LoadMetrics{}, fmt.Errorf("experiment: warmup %v < 0", warmup)
 	}
 	cfg = cfg.withDefaults()
-	sys, err := assemble(cfg)
+	st, err := vmStack(cfg)
 	if err != nil {
 		return LoadMetrics{}, err
 	}
@@ -68,7 +68,7 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 		finalTime time.Duration
 		remaining = len(items)
 	)
-	done := sys.rtm.NewGate("load stream drained")
+	done := st.Runtime.NewGate("load stream drained")
 	record := func(it load.Item, res *query.Result, now time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -88,12 +88,12 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 	}
 
 	var submitErr error
-	sys.rtm.Spawn("load-dispatcher", func(ctx rt.Ctx) {
+	st.Runtime.Spawn("load-dispatcher", func(ctx rt.Ctx) {
 		for _, it := range items {
 			if d := it.At - ctx.Now(); d > 0 {
 				ctx.Sleep(d)
 			}
-			tk, err := sys.srv.Submit(it.Meta)
+			tk, err := st.Server.Submit(it.Meta)
 			if err != nil {
 				mu.Lock()
 				if submitErr == nil {
@@ -108,18 +108,18 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 				continue
 			}
 			it := it
-			sys.rtm.Spawn(fmt.Sprintf("load-wait-%d", it.Seq), func(ctx rt.Ctx) {
+			st.Runtime.Spawn(fmt.Sprintf("load-wait-%d", it.Seq), func(ctx rt.Ctx) {
 				res := tk.Wait(ctx)
 				record(it, res, ctx.Now())
 			})
 		}
 	})
-	sys.rtm.Spawn("load-closer", func(ctx rt.Ctx) {
+	st.Runtime.Spawn("load-closer", func(ctx rt.Ctx) {
 		done.Wait(ctx)
-		sys.srv.Close()
+		st.Server.Close()
 	})
 
-	if err := sys.eng.Run(); err != nil {
+	if err := st.Engine.Run(); err != nil {
 		return LoadMetrics{}, fmt.Errorf("experiment load %v: %w", cfg.Policy, err)
 	}
 	if submitErr != nil {
@@ -127,7 +127,7 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 	}
 
 	m := LoadMetrics{
-		Policy:    sys.policy.Name(),
+		Policy:    st.Policy.Name(),
 		Offered:   float64(len(items)) / items[len(items)-1].At.Seconds(),
 		Queries:   completed,
 		Measured:  measured,
@@ -144,9 +144,9 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 	if measured > 0 {
 		m.MeanReuse = reuseSum / float64(measured)
 	}
-	m.Server = sys.srv.Stats()
-	if sys.ds != nil {
-		m.DataStore = sys.ds.Stats()
+	m.Server = st.Server.Stats()
+	if st.DataStore != nil {
+		m.DataStore = st.DataStore.Stats()
 	}
 	if out := m.Server.ReusedOutputBytes + m.Server.ComputedOutputBytes; out > 0 {
 		m.ReusedBytesFrac = float64(m.Server.ReusedOutputBytes) / float64(out)

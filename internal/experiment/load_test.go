@@ -4,28 +4,25 @@ import (
 	"testing"
 	"time"
 
+	"mqsched/internal/driver"
 	"mqsched/internal/load"
+	"mqsched/internal/stack"
 	"mqsched/internal/vm"
 )
 
 func loadStream(t *testing.T, rate float64, n int) []load.Item {
 	t.Helper()
-	cfg := Config{}.withDefaults()
-	sys, err := assemble(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return load.Build(load.GenConfig{
 		Users: 100, DatasetZipfS: 1.1, HotspotZipfS: 1.2, UserZipfS: 0.6,
 		OutputSide: 512, Op: vm.Subsample, Seed: 1,
-	}, sys.table, load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
+	}, driver.PaperSlides(), load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
 }
 
 // TestRunLoadDeterministic checks the whole sim-side load pipeline is
 // reproducible: same stream, same config, identical metrics.
 func TestRunLoadDeterministic(t *testing.T) {
 	items := loadStream(t, 50, 120)
-	cfg := Config{Policy: "cnbf", Op: vm.Subsample}
+	cfg := Config{Config: stack.Config{Policy: "cnbf"}, Op: vm.Subsample}
 	a, err := RunLoad(cfg, items, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +52,7 @@ func TestRunLoadDeterministic(t *testing.T) {
 // load far beyond capacity must inflate latency relative to a light load,
 // which closed-loop clients structurally cannot show.
 func TestRunLoadOverloadQueues(t *testing.T) {
-	cfg := Config{Policy: "fifo", Op: vm.Subsample, Threads: 2}
+	cfg := Config{Config: stack.Config{Policy: "fifo", Threads: 2}, Op: vm.Subsample}
 	light, err := RunLoad(cfg, loadStream(t, 2, 40), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +71,11 @@ func TestRunLoadOverloadQueues(t *testing.T) {
 // strategies on the skewed workload (the point of the instrument).
 func TestRunLoadStrategiesDiffer(t *testing.T) {
 	items := loadStream(t, 100, 200)
-	fifo, err := RunLoad(Config{Policy: "fifo", Op: vm.Subsample}, items, 0)
+	fifo, err := RunLoad(Config{Config: stack.Config{Policy: "fifo"}, Op: vm.Subsample}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnbf, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample}, items, 0)
+	cnbf, err := RunLoad(Config{Config: stack.Config{Policy: "cnbf"}, Op: vm.Subsample}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +99,7 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := RunLoad(Config{}, items, -time.Second); err == nil {
 		t.Error("negative warmup should fail")
 	}
-	if _, err := RunLoad(Config{Policy: "nope"}, items, 0); err == nil {
+	if _, err := RunLoad(Config{Config: stack.Config{Policy: "nope"}}, items, 0); err == nil {
 		t.Error("unknown policy should fail")
 	}
 }
@@ -112,15 +109,15 @@ func TestRunLoadValidation(t *testing.T) {
 // populated (stats flow through to LoadMetrics).
 func TestRunLoadCostPolicy(t *testing.T) {
 	items := loadStream(t, 100, 200)
-	lru, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample}, items, 0)
+	lru, err := RunLoad(Config{Config: stack.Config{Policy: "cnbf"}, Op: vm.Subsample}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, DSPolicy: "cost"}, items, 0)
+	cost, err := RunLoad(Config{Config: stack.Config{Policy: "cnbf", DSPolicy: "cost"}, Op: vm.Subsample}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunLoad(Config{Policy: "cnbf", Op: vm.Subsample, DSPolicy: "cost"}, items, 0)
+	again, err := RunLoad(Config{Config: stack.Config{Policy: "cnbf", DSPolicy: "cost"}, Op: vm.Subsample}, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestRunLoadCostPolicy(t *testing.T) {
 		t.Fatalf("server stats not propagated: lru %+v cost %+v", lru.Server, cost.Server)
 	}
 	// Unknown policy is rejected up front.
-	if _, err := RunLoad(Config{DSPolicy: "mru"}, items, 0); err == nil {
+	if _, err := RunLoad(Config{Config: stack.Config{DSPolicy: "mru"}}, items, 0); err == nil {
 		t.Error("unknown DS policy should fail")
 	}
 }

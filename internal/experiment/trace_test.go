@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"mqsched/internal/stack"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -13,18 +14,17 @@ import (
 // disk.
 func TestRunWorkloadSpanCoverage(t *testing.T) {
 	m, err := Run(Config{
-		Policy:           "cf",
+		Config:           stack.Config{Policy: "cf", TraceSpans: true, TraceCapacity: 1 << 15},
 		Op:               vm.Subsample,
 		Clients:          2,
 		QueriesPerClient: 2,
 		Seed:             1,
-		TraceCapacity:    1 << 15,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Spans == nil {
-		t.Fatal("Metrics.Spans is nil with TraceCapacity set")
+		t.Fatal("Metrics.Spans is nil with TraceSpans set")
 	}
 	spans := m.Spans.Spans()
 	if len(spans) == 0 {

@@ -6,15 +6,11 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/datastore"
-	"mqsched/internal/disk"
 	"mqsched/internal/driver"
 	"mqsched/internal/geom"
-	"mqsched/internal/pagespace"
 	"mqsched/internal/rt"
-	"mqsched/internal/sched"
 	"mqsched/internal/server"
-	"mqsched/internal/sim"
+	"mqsched/internal/stack"
 	"mqsched/internal/stats"
 	"mqsched/internal/vol"
 )
@@ -44,37 +40,23 @@ func VolumeComparison(base Config) (Table, error) {
 	return t, nil
 }
 
-// runVolume wires the vol app onto the simulated middleware and drives an
-// analyst workload.
+// runVolume drives an analyst workload through the simulated stack running
+// the vol app.
 func runVolume(cfg Config, policyName string) (Metrics, error) {
-	eng := sim.New()
-	rtm := rt.NewSim(eng, cfg.CPUs)
-
 	app := vol.New()
 	dims := vol.Dims{Width: 8192, Height: 8192, Depth: 64}
-	layouts := []*dataset.Layout{
-		app.Add("vol1", dims),
-		app.Add("vol2", dims),
-	}
-	table := dataset.NewTable(layouts...)
+	table := dataset.NewTable(app.Add("vol1", dims), app.Add("vol2", dims))
 	app.Finish(table)
 
-	farm := disk.NewFarm(rtm, disk.Config{Disks: cfg.Disks}, nil)
-	ps := pagespace.New(rtm, table, farm, pagespace.Options{Budget: cfg.PSBudget})
-	ds := datastore.New(app, datastore.Options{Budget: cfg.DSBudget})
-	policy, ok := sched.ByName(policyName, app)
-	if !ok {
-		return Metrics{}, fmt.Errorf("experiment: unknown policy %q", policyName)
+	cfg.Policy = policyName
+	cfg.App = app
+	st, err := stack.Assemble(cfg.Config, table, nil)
+	if err != nil {
+		return Metrics{}, err
 	}
-	graph := sched.New(rtm, app, policy)
-	srv := server.New(rtm, app, graph, ds, ps, server.Options{
-		Threads:          cfg.Threads,
-		BlockOnExecuting: cfg.BlockOnExecuting,
-	})
-
 	queries := volumeWorkload(dims, cfg.Seed, cfg.Clients, cfg.QueriesPerClient)
-	col := launchVolume(rtm, srv, queries)
-	if err := eng.Run(); err != nil {
+	col := launchVolume(st.Runtime, st.Server, queries)
+	if err := st.Engine.Run(); err != nil {
 		return Metrics{}, fmt.Errorf("experiment v1 %s: %w", policyName, err)
 	}
 	if errs := col.Errs(); len(errs) > 0 {
@@ -89,13 +71,13 @@ func runVolume(cfg Config, policyName string) (Metrics, error) {
 		overlapSum += r.ReusedFrac
 	}
 	return Metrics{
-		Policy:          policy.Name(),
+		Policy:          st.Policy.Name(),
 		TrimmedResponse: stats.TrimmedMean95(resp),
 		AvgOverlap:      overlapSum / float64(max(len(results), 1)),
 		Makespan:        col.Makespan().Seconds(),
 		Queries:         len(results),
-		Server:          srv.Stats(),
-		Disk:            farm.Stats(),
+		Server:          st.Server.Stats(),
+		Disk:            st.Farm.Stats(),
 	}, nil
 }
 

@@ -33,12 +33,10 @@
 package mqsched
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"mqsched/internal/dataset"
 	"mqsched/internal/datastore"
@@ -50,7 +48,7 @@ import (
 	"mqsched/internal/rt"
 	"mqsched/internal/sched"
 	"mqsched/internal/server"
-	"mqsched/internal/sim"
+	"mqsched/internal/stack"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -166,117 +164,22 @@ func registerBuildInfo(reg *metrics.Registry) {
 }
 
 // Mode selects the execution substrate.
-type Mode int
+type Mode = stack.Mode
 
 const (
 	// Simulated runs on deterministic virtual time (experiments).
-	Simulated Mode = iota
+	Simulated = stack.Simulated
 	// Real runs on goroutines and wall-clock time with actual pixel data.
-	Real
+	Real = stack.Real
 )
 
-// Config configures a System.
-type Config struct {
-	// Mode selects the substrate (default Simulated).
-	Mode Mode
-	// Policy is the ranking strategy — one of sched.Names(): the paper's
-	// fifo, muf, ff, cf, cnbf, sjf plus the data-driven batch executor
-	// (default cf, the paper's α=0.2).
-	Policy string
-	// BatchStarvation tunes the batch policy's aging blend back toward
-	// arrival order: 0 keeps sched.DefaultBatchStarvation, negative disables
-	// aging entirely (pure data-hotness order, starvation-prone). Ignored by
-	// every other policy.
-	BatchStarvation float64
-	// BatchMaxGroup caps the queries one batch dispatch claims together
-	// (0 = server.DefaultBatchMaxGroup). Ignored by every other policy.
-	BatchMaxGroup int
-	// Threads is the query-thread pool size (default 4).
-	Threads int
-	// CPUs is the simulated SMP's processor count (default 24; ignored on
-	// the real runtime).
-	CPUs int
-	// Disks is the disk farm size (default 4).
-	Disks int
-	// IOSched selects the per-spindle service discipline: disk.SchedFIFO
-	// (default, the paper's one-page-at-a-time behaviour) or
-	// disk.SchedElevator (per-disk reordering and multi-page merges).
-	IOSched disk.Sched
-	// IOBatchPages caps distinct pages per merged elevator transfer (0 =
-	// the farm's default of 16; ignored under FIFO).
-	IOBatchPages int
-	// IOMaxDelay bounds elevator reordering: a request is bypassed by at
-	// most this many dispatches (0 = the farm's default of 8, negative =
-	// unbounded; ignored under FIFO).
-	IOMaxDelay int
-	// DSBudget is the data store memory in bytes (default 64 MB; -1
-	// disables result caching).
-	DSBudget int64
-	// DSPolicy selects the data store's cache policy: "lru" (default, the
-	// paper's cache-everything/evict-by-recency data store) or "cost"
-	// (benefit-aware eviction, admission control with a ghost list, and
-	// proactive materialization of hot parent aggregates).
-	DSPolicy string
-	// DSMaterializeLimit bounds concurrent proactive-materialization queries
-	// under the cost policy (0 = the server's default of 2, negative
-	// disables acting on hints).
-	DSMaterializeLimit int
-	// PSBudget is the page space memory in bytes (default 32 MB).
-	PSBudget int64
-	// TimeScale compresses modelled hardware times on the real runtime
-	// (default 0.02).
-	TimeScale float64
-	// App overrides the application (default: the Virtual Microscope).
-	App App
-	// BlockOnExecuting lets queries stall on overlapping executing queries
-	// to avoid duplicate I/O (default true).
-	DisableBlocking bool
-	// Trace records query lifecycle events, retrievable via System.Trace
-	// (Gantt renderings of the schedule).
-	Trace bool
-	// TraceSpans records per-query span trees (server, sched, data store,
-	// page space, disk), retrievable via System.Spans — exportable as Chrome
-	// trace_event JSON and feeding the slow-query log. When false the span
-	// layer costs one nil check per instrumentation site.
-	TraceSpans bool
-	// TraceCapacity bounds the span ring buffer (default 16384 spans;
-	// ignored unless TraceSpans is set).
-	TraceCapacity int
-	// SlowQueryThreshold marks root spans slower than this duration
-	// (runtime clock) as slow queries; see trace.TracerOptions.
-	SlowQueryThreshold time.Duration
-	// SlowQueryPercentile, in (0,100) e.g. 99, marks root spans slower than
-	// this trailing percentile of recent responses as slow; see
-	// trace.TracerOptions.
-	SlowQueryPercentile float64
-	// EnableMetrics registers every subsystem's counters, gauges, and latency
-	// histograms on a metrics registry, retrievable via System.Metrics and
-	// served by cmd/mqserver's /metrics endpoint (Prometheus text format).
-	// When false the instrumentation costs one nil check per event.
-	EnableMetrics bool
-	// ComputeParallelism bounds the worker goroutines one query may fan its
-	// raw-chunk computation across on the real runtime: 1 keeps the serial
-	// per-query loop, 0 selects a GOMAXPROCS-derived default, n > 1 caps
-	// the fan-out. Ignored on the simulated runtime.
-	ComputeParallelism int
-}
+// Config configures a System; see stack.Config for every knob and its
+// default. The zero Policy selects cf.
+type Config = stack.Config
 
 // System is an assembled query server with its substrates.
 type System struct {
-	cfg    Config
-	rtm    rt.Runtime
-	eng    *sim.Engine // nil on the real runtime
-	realRT *rt.RealRuntime
-	table  *dataset.Table
-	app    query.App
-	farm   *disk.Farm
-	ps     *pagespace.Manager
-	ds     *datastore.Manager
-	graph  *sched.Graph
-	srv    *server.Server
-	tracer *trace.Recorder
-	spans  *trace.Tracer
-	reg    *metrics.Registry
+	st *stack.Stack
 
 	cmu     sync.Mutex
 	clients []rt.Gate // one per Start'ed process; Run closes after all open
@@ -293,113 +196,31 @@ func New(cfg Config, table *dataset.Table) (*System, error) {
 // (the function producing raw chunk payloads for the configured App). The
 // generator is unused on the simulated runtime.
 func NewWithGenerator(cfg Config, table *dataset.Table, gen disk.Generator) (*System, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = "cf"
+	st, err := stack.Assemble(cfg, table, gen)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CPUs == 0 {
-		cfg.CPUs = 24
+	if st.Metrics != nil {
+		registerBuildInfo(st.Metrics)
 	}
-	if cfg.DSBudget == 0 {
-		cfg.DSBudget = 64 << 20
-	}
-	if cfg.PSBudget == 0 {
-		cfg.PSBudget = 32 << 20
-	}
-
-	s := &System{cfg: cfg, table: table}
-	switch cfg.Mode {
-	case Simulated:
-		s.eng = sim.New()
-		s.rtm = rt.NewSim(s.eng, cfg.CPUs)
-		gen = nil // payloads are elided on the synthetic runtime
-	case Real:
-		s.realRT = rt.NewReal(rt.RealOptions{TimeScale: cfg.TimeScale})
-		s.rtm = s.realRT
-	default:
-		return nil, fmt.Errorf("mqsched: unknown mode %d", cfg.Mode)
-	}
-
-	s.app = cfg.App
-	if s.app == nil {
-		s.app = vm.New(table)
-	}
-	policy, ok := sched.ByName(cfg.Policy, s.app)
-	if !ok {
-		return nil, fmt.Errorf("mqsched: unknown policy %q (want %s)", cfg.Policy, strings.Join(sched.Names(), ", "))
-	}
-	if bp, isBatch := policy.(sched.Batch); isBatch {
-		switch {
-		case cfg.BatchStarvation > 0:
-			bp.Starvation = cfg.BatchStarvation
-		case cfg.BatchStarvation < 0:
-			bp.Starvation = 0
-		}
-		policy = bp
-	}
-
-	if cfg.EnableMetrics {
-		s.reg = metrics.NewRegistry()
-		registerBuildInfo(s.reg)
-	}
-	s.farm = disk.NewFarm(s.rtm, disk.Config{
-		Disks:         cfg.Disks,
-		Sched:         cfg.IOSched,
-		MaxBatchPages: cfg.IOBatchPages,
-		MaxDelay:      cfg.IOMaxDelay,
-	}, gen)
-	s.farm.UseMetrics(s.reg)
-	s.ps = pagespace.New(s.rtm, table, s.farm, pagespace.Options{Budget: cfg.PSBudget, Metrics: s.reg})
-	if cfg.DSBudget >= 0 {
-		dsPolicy, err := datastore.ParsePolicy(cfg.DSPolicy)
-		if err != nil {
-			return nil, fmt.Errorf("mqsched: %w", err)
-		}
-		s.ds = datastore.New(s.app, datastore.Options{
-			Budget:  cfg.DSBudget,
-			Policy:  dsPolicy,
-			Metrics: s.reg,
-		})
-	}
-	if cfg.Trace {
-		s.tracer = trace.NewWithClock(s.rtm.Now)
-	}
-	if cfg.TraceSpans {
-		s.spans = trace.NewTracer(s.rtm.Now, trace.TracerOptions{
-			Capacity:       cfg.TraceCapacity,
-			SlowThreshold:  cfg.SlowQueryThreshold,
-			SlowPercentile: cfg.SlowQueryPercentile,
-		})
-	}
-	s.graph = sched.New(s.rtm, s.app, policy)
-	s.graph.UseMetrics(s.reg)
-	s.srv = server.New(s.rtm, s.app, s.graph, s.ds, s.ps, server.Options{
-		Threads:            cfg.Threads,
-		BlockOnExecuting:   !cfg.DisableBlocking,
-		ComputeParallelism: cfg.ComputeParallelism,
-		MaterializeLimit:   cfg.DSMaterializeLimit,
-		BatchMaxGroup:      cfg.BatchMaxGroup,
-		Tracer:             s.tracer,
-		Spans:              s.spans,
-		Metrics:            s.reg,
-	})
-	return s, nil
+	return &System{st: st}, nil
 }
 
 // Submit enqueues a query.
-func (s *System) Submit(m Meta) (*Ticket, error) { return s.srv.Submit(m) }
+func (s *System) Submit(m Meta) (*Ticket, error) { return s.st.Server.Submit(m) }
 
 // Cancel abandons a query that has not started executing; see
 // server.Server.Cancel.
-func (s *System) Cancel(t *Ticket) bool { return s.srv.Cancel(t) }
+func (s *System) Cancel(t *Ticket) bool { return s.st.Server.Cancel(t) }
 
 // Start launches a client process. On the simulated runtime the process
 // only executes once Run drives the virtual clock.
 func (s *System) Start(name string, fn func(Ctx)) {
-	g := s.rtm.NewGate(name + " done")
+	g := s.st.Runtime.NewGate(name + " done")
 	s.cmu.Lock()
 	s.clients = append(s.clients, g)
 	s.cmu.Unlock()
-	s.rtm.Spawn(name, func(ctx Ctx) {
+	s.st.Runtime.Spawn(name, func(ctx Ctx) {
 		defer g.Open()
 		fn(ctx)
 	})
@@ -413,16 +234,16 @@ func (s *System) Run() error {
 	s.cmu.Lock()
 	clients := append([]rt.Gate(nil), s.clients...)
 	s.cmu.Unlock()
-	s.rtm.Spawn("mqsched-closer", func(ctx Ctx) {
+	s.st.Runtime.Spawn("mqsched-closer", func(ctx Ctx) {
 		for _, g := range clients {
 			g.Wait(ctx)
 		}
-		s.srv.Close()
+		s.st.Server.Close()
 	})
-	if s.eng != nil {
-		return s.eng.Run()
+	if s.st.Engine != nil {
+		return s.st.Engine.Run()
 	}
-	s.realRT.Wait()
+	s.st.Real.Wait()
 	return nil
 }
 
@@ -433,20 +254,20 @@ func (s *System) RunWith(fn func(Ctx)) error {
 }
 
 // Trace returns the lifecycle recorder (nil unless Config.Trace was set).
-func (s *System) Trace() *trace.Recorder { return s.tracer }
+func (s *System) Trace() *trace.Recorder { return s.st.Recorder }
 
 // Spans returns the span tracer (nil unless Config.TraceSpans was set).
-func (s *System) Spans() *trace.Tracer { return s.spans }
+func (s *System) Spans() *trace.Tracer { return s.st.Spans }
 
 // Metrics returns the unified metrics registry (nil unless
 // Config.EnableMetrics was set).
-func (s *System) Metrics() *metrics.Registry { return s.reg }
+func (s *System) Metrics() *metrics.Registry { return s.st.Metrics }
 
 // Server exposes the underlying query server.
-func (s *System) Server() *server.Server { return s.srv }
+func (s *System) Server() *server.Server { return s.st.Server }
 
 // Datasets exposes the registered dataset table.
-func (s *System) Datasets() *dataset.Table { return s.table }
+func (s *System) Datasets() *dataset.Table { return s.st.Table }
 
 // Stats bundles subsystem counters.
 type Stats struct {
@@ -460,13 +281,13 @@ type Stats struct {
 // Stats returns a snapshot of all subsystem counters.
 func (s *System) Stats() Stats {
 	st := Stats{
-		Server:    s.srv.Stats(),
-		Disk:      s.farm.Stats(),
-		PageSpace: s.ps.Stats(),
-		Graph:     s.graph.Stats(),
+		Server:    s.st.Server.Stats(),
+		Disk:      s.st.Farm.Stats(),
+		PageSpace: s.st.PageSpace.Stats(),
+		Graph:     s.st.Graph.Stats(),
 	}
-	if s.ds != nil {
-		st.DataStore = s.ds.Stats()
+	if s.st.DataStore != nil {
+		st.DataStore = s.st.DataStore.Stats()
 	}
 	return st
 }

@@ -202,3 +202,34 @@ func TestUnknownDSPolicyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Values outside a knob's set are rejected up front instead of hanging (no
+// query threads) or panicking (a negative farm size).
+func TestNewRejectsOutOfRangeValues(t *testing.T) {
+	table := NewSlideTable(Slide{Name: "s1", Width: 512, Height: 512})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"threads", Config{Threads: -1}},
+		{"threads real", Config{Mode: Real, Threads: -1}},
+		{"disks", Config{Disks: -1}},
+		{"disks real", Config{Mode: Real, Disks: -2}},
+		{"cpus", Config{Mode: Simulated, CPUs: -4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("New panicked: %v", r)
+					}
+				}()
+				_, err = New(tc.cfg, table)
+			}()
+			if err == nil {
+				t.Fatal("New accepted an out-of-range value")
+			}
+		})
+	}
+}
