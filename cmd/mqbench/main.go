@@ -29,7 +29,7 @@ import (
 	"mqsched/internal/driver"
 	"mqsched/internal/experiment"
 	"mqsched/internal/stack"
-	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -226,7 +226,7 @@ func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
 // replayWorkload runs one configuration to completion — replaying a saved
 // workload when path is non-empty, generating one from the base config
 // otherwise — and prints the headline numbers, the span-derived per-strategy
-// percentiles, and the structured end-of-run metrics summary (every
+// latency breakdown, and the structured end-of-run metrics summary (every
 // subsystem counter, gauge, and latency histogram from the unified
 // registry). When traceOut is non-empty the span trees are written there as
 // Chrome trace_event JSON.
@@ -247,7 +247,7 @@ func replayWorkload(path string, base experiment.Config, op vm.Op, traceOut stri
 	cfg.Op = op
 	cfg.EnableMetrics = true
 	cfg.TraceSpans = true
-	cfg.TraceCapacity = 1 << 16
+	cfg.TraceCapacity = experiment.FullRunSpans
 	m, err := experiment.RunWorkload(cfg, queries)
 	if err != nil {
 		return err
@@ -272,8 +272,7 @@ func replayWorkload(path string, base experiment.Config, op vm.Op, traceOut stri
 		fmt.Printf("disk elevator: %d batches (%.2f pages/batch), %d merged reads, max reorder %d\n",
 			d.Batches, float64(d.BatchPagesSum)/float64(d.Batches), d.MergedReads, d.MaxReorder)
 	}
-	fmt.Println("\nspan-derived percentiles (seconds, simulated time):")
-	fmt.Print(trace.FormatStrategyStats(m.Spans.StrategyStats()))
+	fmt.Print("\n", spanBreakdown(m))
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
@@ -291,4 +290,33 @@ func replayWorkload(path string, base experiment.Config, op vm.Op, traceOut stri
 	fmt.Println("\nend-of-run metrics:")
 	fmt.Print(m.Registry.Summary())
 	return nil
+}
+
+// spanBreakdown renders the traced run's per-strategy latency breakdown
+// (traceviz.Breakdown) and says what it covers: the queries whose span
+// trees the ring still holds whole, against the queries run, and how many
+// spans the ring dropped.
+func spanBreakdown(m experiment.Metrics) string {
+	bs := traceviz.Breakdown(traceviz.LoadSpans("run", m.Spans.Spans(), nil))
+	covered := 0
+	for _, s := range bs {
+		covered += s.Queries - s.Truncated
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "span breakdown (seconds, simulated time) over %d of %d queries run; %d spans dropped\n",
+		covered, m.Queries, m.Spans.Dropped())
+	if len(bs) == 0 {
+		b.WriteString("(no query spans)\n")
+		return b.String()
+	}
+	fmt.Fprintf(&b, "%-10s %7s %8s %8s %8s %8s | %8s %8s %8s %8s %8s %8s %8s\n",
+		"strategy", "queries", "resp", "p50", "p95", "max",
+		"wait", "io", "compute", "reuse", "batch", "fanout", "other")
+	for _, s := range bs {
+		p := s.MeanPhases
+		fmt.Fprintf(&b, "%-10s %7d %8.3f %8.3f %8.3f %8.3f | %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+			s.Strategy, s.Queries-s.Truncated, s.MeanResp, s.P50, s.P95, s.MaxResp,
+			p.Wait, p.IO, p.Compute, p.Reuse, p.Batch, p.Fanout, p.Other)
+	}
+	return b.String()
 }

@@ -6,14 +6,12 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"mqsched/internal/dataset"
 	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
 	"mqsched/internal/driver"
 	"mqsched/internal/metrics"
-	"mqsched/internal/monitor"
 	"mqsched/internal/pagespace"
 	"mqsched/internal/sched"
 	"mqsched/internal/server"
@@ -45,10 +43,6 @@ type Config struct {
 	// PrefetchDepth enables chunk read-ahead in the VM application
 	// (ablation A4; 0 = the paper's synchronous reads).
 	PrefetchDepth int
-	// MonitorInterval, when positive, samples disk/CPU utilization and
-	// queue length on the virtual clock every interval; the rendered
-	// sparklines land in Metrics.MonitorReport.
-	MonitorInterval time.Duration
 	// Browse selects the client browsing pattern (experiment X2; default
 	// the paper's hotspot browse).
 	Browse driver.Mode
@@ -103,16 +97,13 @@ type Metrics struct {
 
 	Queries int
 
-	// MonitorReport holds utilization sparklines when
-	// Config.MonitorInterval was set.
-	MonitorReport string
-
 	// Registry is the end-of-run snapshot of the unified metrics registry
 	// when Config.EnableMetrics was set.
 	Registry *metrics.Snapshot
 
-	// Spans is the run's span tracer when Config.TraceSpans was set
-	// (export with WriteChrome, summarize with StrategyStats).
+	// Spans is the run's span tracer when Config.Trace or
+	// Config.TraceSpans was set (export with WriteChrome, analyse with
+	// internal/traceviz).
 	Spans *trace.Tracer
 }
 
@@ -147,28 +138,6 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 	cfg.Config = st.Config
 	eng, rtm, farm, graph, srv := st.Engine, st.Sim, st.Farm, st.Graph, st.Server
 
-	var mon *monitor.Monitor
-	launchOpts := driver.LaunchOpts{Batch: cfg.Batch}
-	if cfg.MonitorInterval > 0 {
-		iv := cfg.MonitorInterval
-		waiting := monitor.Probe{Name: "waiting", F: func() float64 { return float64(graph.WaitingCount()) }}
-		if st.Metrics != nil {
-			// The metrics layer already tracks queue depth; read its gauge
-			// instead of duplicating the counter.
-			waiting = monitor.FromGauge("waiting", st.Metrics.Gauge("mqsched_sched_queue_depth", ""))
-		}
-		mon = monitor.Start(rtm, iv, []monitor.Probe{
-			monitor.Windowed("disk util", func() float64 {
-				return farm.Utilization() * eng.Now().Seconds()
-			}, iv),
-			monitor.Windowed("cpu util", func() float64 {
-				return rtm.CPUUtilization() * eng.Now().Seconds()
-			}, iv),
-			waiting,
-		})
-		launchOpts.OnAllDone = mon.Stop
-	}
-
 	if queries == nil {
 		queries = driver.Generate(driver.WorkloadConfig{
 			Clients:          cfg.Clients,
@@ -178,7 +147,7 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 			Mode:             cfg.Browse,
 		}, st.Table)
 	}
-	col := driver.Launch(rtm, srv, queries, launchOpts)
+	col := driver.Launch(rtm, srv, queries, driver.LaunchOpts{Batch: cfg.Batch})
 
 	if err := eng.Run(); err != nil {
 		return Metrics{}, fmt.Errorf("experiment %v: %w", cfg.Policy, err)
@@ -228,9 +197,6 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 	}
 	if st.DataStore != nil {
 		m.DataStore = st.DataStore.Stats()
-	}
-	if mon != nil {
-		m.MonitorReport = mon.Report(72)
 	}
 	if st.Metrics != nil {
 		snap := st.Metrics.Snapshot()

@@ -2,11 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"mqsched/internal/driver"
 	"mqsched/internal/stats"
+	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -383,11 +385,15 @@ func PrefetchAblation(base Config, depths []int) (Table, error) {
 	return t, nil
 }
 
-// TimelineReport runs the workload at each thread count with utilization
-// sampling and renders the sparkline timelines: the visual version of the
-// Figure 4 story — with few threads the disks idle between CPU phases, at
-// the optimum they stay busy, and beyond it the queue drains quickly but
-// every query crawls because the spindles thrash.
+// FullRunSpans is a span ring that holds every span of a paper-scale run
+// (16 clients × 16 queries at one thread finishes under 200k spans).
+const FullRunSpans = 1 << 18
+
+// TimelineReport traces the workload at each thread count and renders its
+// timelines as sparklines: the visual version of the Figure 4 story — with
+// few threads the disks idle between CPU phases, at the optimum they stay
+// busy, and beyond it the queue drains quickly but every query crawls
+// because the spindles thrash.
 func TimelineReport(base Config, threads []int) (string, error) {
 	if len(threads) == 0 {
 		threads = []int{1, 4, 16}
@@ -400,13 +406,61 @@ func TimelineReport(base Config, threads []int) (string, error) {
 	for _, th := range threads {
 		cfg := base
 		cfg.Threads = th
-		cfg.MonitorInterval = 500 * time.Millisecond
+		cfg.TraceSpans = true
+		cfg.TraceCapacity = FullRunSpans
 		m, err := Run(cfg)
 		if err != nil {
 			return "", err
 		}
+		rows, err := timelineRows(m.Spans, th, timelineWidth)
+		if err != nil {
+			return "", fmt.Errorf("timeline threads=%d: %w", th, err)
+		}
 		fmt.Fprintf(&b, "\nthreads=%d  makespan=%.1fs  trimmed response=%.2fs\n%s",
-			th, m.Makespan, m.TrimmedResponse, m.MonitorReport)
+			th, m.Makespan, m.TrimmedResponse, rows)
+	}
+	return b.String(), nil
+}
+
+// timelineWidth is the number of time buckets, and characters, per
+// timeline row.
+const timelineWidth = 72
+
+// timelineRows draws a traced run's timelines over width time buckets: the
+// mean busy fraction of the spindles, the queries executing (at most
+// threads) and the queries waiting. A partial capture would draw a wrong
+// picture, so a ring that dropped spans is an error.
+func timelineRows(tr *trace.Tracer, threads, width int) (string, error) {
+	if d := tr.Dropped(); d > 0 {
+		return "", fmt.Errorf("span ring dropped %d of %d spans; the timeline needs the whole run", d, tr.Total())
+	}
+	c := traceviz.LoadSpans("timeline", tr.Spans(), nil)
+	disk := make([]float64, width)
+	spindles := 0
+	for _, row := range traceviz.Utilization(c, width).Rows {
+		if row.Class != "spindle" {
+			continue
+		}
+		spindles++
+		for i, v := range row.Busy {
+			disk[i] += v
+		}
+	}
+	for i := range disk {
+		disk[i] /= float64(max(spindles, 1))
+	}
+	tl := traceviz.ComputeTimelines(c, width)
+	var b strings.Builder
+	for _, r := range []struct {
+		name string
+		vals []float64
+		hi   float64
+	}{
+		{"disk util", disk, 1},
+		{"executing", tl.Executing, float64(threads)},
+		{"waiting", tl.QueueDepth, slices.Max(tl.QueueDepth)},
+	} {
+		fmt.Fprintf(&b, "%-12s %s  mean=%.2f\n", r.name, traceviz.Sparkline(r.vals, width, 0, r.hi), stats.Mean(r.vals))
 	}
 	return b.String(), nil
 }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 
 	"mqsched/internal/stack"
 	"mqsched/internal/trace"
+	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
 )
 
@@ -77,8 +79,49 @@ func TestRunWorkloadSpanCoverage(t *testing.T) {
 		}
 	}
 
-	ss := m.Spans.StrategyStats()
-	if len(ss) != 1 || ss[0].Queries != m.Queries {
-		t.Errorf("StrategyStats = %+v, want one strategy covering %d queries", ss, m.Queries)
+	bs := traceviz.Breakdown(traceviz.LoadSpans("run", spans, nil))
+	if len(bs) != 1 || bs[0].Queries != m.Queries || bs[0].Truncated != 0 {
+		t.Errorf("Breakdown = %+v, want one strategy covering %d whole queries", bs, m.Queries)
+	}
+}
+
+// TestTimelineRefusesPartialCapture checks that the timeline is drawn only
+// from a whole run: a ring that dropped spans yields an error naming the
+// drop, not sparklines.
+func TestTimelineRefusesPartialCapture(t *testing.T) {
+	cfg := Config{
+		Config:           stack.Config{Policy: "cnbf", TraceSpans: true, TraceCapacity: 64},
+		Op:               vm.Subsample,
+		Clients:          2,
+		QueriesPerClient: 2,
+		Seed:             1,
+	}
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Spans.Dropped() == 0 {
+		t.Fatalf("capacity 64 dropped nothing (%d spans)", m.Spans.Total())
+	}
+	rows, err := timelineRows(m.Spans, 4, timelineWidth)
+	if err == nil || !strings.Contains(err.Error(), "dropped") {
+		t.Fatalf("timelineRows = %q, %v; want a dropped-spans error", rows, err)
+	}
+	if rows != "" {
+		t.Fatalf("partial capture drew %q", rows)
+	}
+
+	cfg.TraceCapacity = FullRunSpans
+	if m, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = timelineRows(m.Spans, 4, timelineWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"disk util", "executing", "waiting"} {
+		if !strings.Contains(rows, name) {
+			t.Fatalf("timeline lacks %q row:\n%s", name, rows)
+		}
 	}
 }

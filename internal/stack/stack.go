@@ -107,8 +107,9 @@ type Config struct {
 	// queries; by default they block to avoid duplicate I/O (ablation A3
 	// turns it off).
 	DisableBlocking bool
-	// Trace records query lifecycle events in a trace.Recorder (Gantt
-	// renderings of the schedule).
+	// Trace turns on the span tracer, exactly as TraceSpans does; it names
+	// the intent of callers that render the schedule (trace.Tracer.Gantt,
+	// Summary).
 	Trace bool
 	// TraceSpans records per-query span trees (server, sched, data store,
 	// page space, disk) — exportable as Chrome trace_event JSON and feeding
@@ -116,7 +117,7 @@ type Config struct {
 	// instrumentation site.
 	TraceSpans bool
 	// TraceCapacity bounds the span ring buffer (default 16384 spans;
-	// ignored unless TraceSpans is set).
+	// ignored unless Trace or TraceSpans is set).
 	TraceCapacity int
 	// SlowQueryThreshold marks root spans slower than this duration
 	// (runtime clock) as slow queries; see trace.TracerOptions.
@@ -197,11 +198,10 @@ type Stack struct {
 	Graph     *sched.Graph
 	Server    *server.Server
 
-	// Recorder, Spans and Metrics are nil unless Config.Trace,
-	// Config.TraceSpans and Config.EnableMetrics, respectively, are set.
-	Recorder *trace.Recorder
-	Spans    *trace.Tracer
-	Metrics  *metrics.Registry
+	// Spans is nil unless Config.Trace or Config.TraceSpans is set, and
+	// Metrics unless Config.EnableMetrics is.
+	Spans   *trace.Tracer
+	Metrics *metrics.Registry
 }
 
 // Assemble builds the stack over table. gen produces raw page payloads on
@@ -261,10 +261,7 @@ func Assemble(cfg Config, table *dataset.Table, gen disk.Generator) (*Stack, err
 			Metrics: s.Metrics,
 		})
 	}
-	if cfg.Trace {
-		s.Recorder = trace.NewWithClock(s.Runtime.Now)
-	}
-	if cfg.TraceSpans {
+	if cfg.Trace || cfg.TraceSpans {
 		s.Spans = trace.NewTracer(s.Runtime.Now, trace.TracerOptions{
 			Capacity:       cfg.TraceCapacity,
 			SlowThreshold:  cfg.SlowQueryThreshold,
@@ -279,7 +276,6 @@ func Assemble(cfg Config, table *dataset.Table, gen disk.Generator) (*Stack, err
 		ComputeParallelism: cfg.ComputeParallelism,
 		MaterializeLimit:   cfg.DSMaterializeLimit,
 		BatchMaxGroup:      cfg.BatchMaxGroup,
-		Tracer:             s.Recorder,
 		Spans:              s.Spans,
 		Metrics:            s.Metrics,
 	})

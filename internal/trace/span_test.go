@@ -260,7 +260,7 @@ func TestConcurrentSpanRecording(t *testing.T) {
 				root.Finish()
 				tr.Spans()
 				tr.SlowEntries(0)
-				tr.StrategyStats()
+				tr.Summary()
 			}
 		}(g)
 	}
@@ -284,40 +284,6 @@ func TestNilTracerPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("nil-tracer instrumentation allocates %.1f per op, want 0", allocs)
-	}
-}
-
-func TestStrategyStats(t *testing.T) {
-	clk := &manualClock{}
-	tr := NewTracer(clk.Now, TracerOptions{})
-	durs := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	var at time.Duration
-	for i, d := range durs {
-		clk.now = at
-		root := tr.StartRoot(int64(i+1), "server", "query", Str("strategy", "FIFO"))
-		w := root.Child("sched", "wait")
-		clk.now = at + d/2
-		w.Finish()
-		clk.now = at + d
-		root.Finish()
-		at = clk.now
-	}
-	ss := tr.StrategyStats()
-	if len(ss) != 1 {
-		t.Fatalf("StrategyStats len = %d, want 1", len(ss))
-	}
-	s := ss[0]
-	if s.Strategy != "FIFO" || s.Queries != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.ResponseP50 != 0.02 || s.ResponseP99 != 0.03 {
-		t.Errorf("response p50/p99 = %v/%v, want 0.02/0.03", s.ResponseP50, s.ResponseP99)
-	}
-	if s.WaitP50 != 0.01 || s.WaitP99 != 0.015 {
-		t.Errorf("wait p50/p99 = %v/%v, want 0.01/0.015", s.WaitP50, s.WaitP99)
-	}
-	if out := FormatStrategyStats(ss); !strings.Contains(out, "FIFO") {
-		t.Errorf("FormatStrategyStats = %q", out)
 	}
 }
 

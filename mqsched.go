@@ -253,10 +253,13 @@ func (s *System) RunWith(fn func(Ctx)) error {
 	return s.Run()
 }
 
-// Trace returns the lifecycle recorder (nil unless Config.Trace was set).
-func (s *System) Trace() *trace.Recorder { return s.st.Recorder }
+// Trace returns the span tracer, the same one Spans returns, for rendering
+// the schedule (Gantt, Summary); nil unless Config.Trace or
+// Config.TraceSpans was set.
+func (s *System) Trace() *trace.Tracer { return s.st.Spans }
 
-// Spans returns the span tracer (nil unless Config.TraceSpans was set).
+// Spans returns the span tracer (nil unless Config.Trace or
+// Config.TraceSpans was set).
 func (s *System) Spans() *trace.Tracer { return s.st.Spans }
 
 // Metrics returns the unified metrics registry (nil unless
