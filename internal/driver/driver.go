@@ -295,9 +295,6 @@ type LaunchOpts struct {
 	// CloseServer shuts the server's worker pool down after the last query
 	// completes (default true — required for simulated runs to terminate).
 	KeepServerOpen bool
-	// OnAllDone runs after every query has completed, before the server is
-	// closed (e.g. to stop a monitor).
-	OnAllDone func()
 }
 
 // NewCollector returns an empty collector anchored at start; Launch creates
@@ -386,9 +383,6 @@ func Launch(rtm rt.Runtime, srv *server.Server, queries [][]vm.Meta, opts Launch
 			for _, tk := range tickets {
 				col.Add(tk.Wait(ctx))
 			}
-			if opts.OnAllDone != nil {
-				opts.OnAllDone()
-			}
 			if !opts.KeepServerOpen {
 				srv.Close()
 			}
@@ -425,9 +419,6 @@ func Launch(rtm rt.Runtime, srv *server.Server, queries [][]vm.Meta, opts Launch
 	}
 	rtm.Spawn("closer", func(ctx rt.Ctx) {
 		allDone.Wait(ctx)
-		if opts.OnAllDone != nil {
-			opts.OnAllDone()
-		}
 		if !opts.KeepServerOpen {
 			srv.Close()
 		}
