@@ -54,18 +54,18 @@ func (b Batch) Name() string {
 func (b Batch) Rank(n *Node) float64 {
 	var hot float64
 	if outSize := float64(b.App.QOutSize(n.Meta)); outSize > 0 {
-		for k, w := range n.out {
-			if k.state == Waiting {
-				hot += w / outSize
+		for _, e := range n.out.list {
+			if e.k.state == Waiting {
+				hot += e.w / outSize
 			}
 		}
 	}
-	for k, w := range n.in {
-		if k.state != Waiting {
+	for _, e := range n.in.list {
+		if e.k.state != Waiting {
 			continue
 		}
-		if ks := float64(b.App.QOutSize(k.Meta)); ks > 0 {
-			hot += w / ks
+		if ks := float64(b.App.QOutSize(e.k.Meta)); ks > 0 {
+			hot += e.w / ks
 		}
 	}
 	return hot - b.Starvation*float64(n.Seq)
@@ -96,15 +96,16 @@ func (g *Graph) DequeueBatch(max int) []*Node {
 			n *Node
 			w float64
 		}
-		cands := make([]cand, 0, len(seed.out)+len(seed.in))
-		for k, w := range seed.out {
-			if k.state == Waiting {
-				cands = append(cands, cand{k, w + k.out[seed]})
+		cands := make([]cand, 0, len(seed.out.list)+len(seed.in.list))
+		for _, e := range seed.out.list {
+			if e.k.state == Waiting {
+				back, _ := e.k.out.weight(seed)
+				cands = append(cands, cand{e.k, e.w + back})
 			}
 		}
-		for k, w := range seed.in {
-			if k.state == Waiting && seed.out[k] == 0 {
-				cands = append(cands, cand{k, w})
+		for _, e := range seed.in.list {
+			if _, both := seed.out.weight(e.k); e.k.state == Waiting && !both {
+				cands = append(cands, cand{e.k, e.w})
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool {

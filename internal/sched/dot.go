@@ -31,13 +31,10 @@ func (g *Graph) DOT() string {
 	for _, id := range ids {
 		n := g.nodes[id]
 		// Deterministic edge order.
-		tgts := make([]*Node, 0, len(n.out))
-		for k := range n.out {
-			tgts = append(tgts, k)
-		}
-		sort.Slice(tgts, func(i, j int) bool { return tgts[i].ID < tgts[j].ID })
-		for _, k := range tgts {
-			fmt.Fprintf(&b, "  q%d -> q%d [label=\"%.2fMB\"];\n", n.ID, k.ID, n.out[k]/(1<<20))
+		tgts := append([]edge(nil), n.out.list...)
+		sort.Slice(tgts, func(i, j int) bool { return tgts[i].k.ID < tgts[j].k.ID })
+		for _, e := range tgts {
+			fmt.Fprintf(&b, "  q%d -> q%d [label=\"%.2fMB\"];\n", n.ID, e.k.ID, e.w/(1<<20))
 		}
 	}
 	b.WriteString("}\n")

@@ -50,12 +50,12 @@ func (c Combined) Name() string { return fmt.Sprintf("Combined(β=%.2g)", c.Beta
 // Rank implements Policy.
 func (c Combined) Rank(n *Node) float64 {
 	var locality float64
-	for k, w := range n.in {
-		switch k.state {
+	for _, e := range n.in.list {
+		switch e.k.state {
 		case Cached:
-			locality += w
+			locality += e.w
 		case Executing:
-			locality -= w
+			locality -= e.w
 		}
 	}
 	return locality - c.Beta*float64(c.App.QInSize(n.Meta))
@@ -86,12 +86,12 @@ func (ResourceAware) Name() string { return "ResourceAware" }
 // Rank implements Policy.
 func (r ResourceAware) Rank(n *Node) float64 {
 	var locality float64
-	for k, w := range n.in {
-		switch k.state {
+	for _, e := range n.in.list {
+		switch e.k.state {
 		case Cached:
-			locality += w
+			locality += e.w
 		case Executing:
-			locality -= w
+			locality -= e.w
 		}
 	}
 	cpuUtil, diskUtil := 0.0, 0.0

@@ -17,6 +17,7 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -89,10 +90,10 @@ type Node struct {
 
 	state State
 	rank  float64
-	// out[k] = w(this, k): bytes of this node's result reusable for k.
-	// in[k] = w(k, this).
-	out map[*Node]float64
-	in  map[*Node]float64
+	// out holds w(this, k): bytes of this node's result reusable for k;
+	// in holds w(k, this).
+	out edges
+	in  edges
 
 	heapIdx int // index in the waiting heap, -1 if not enqueued
 }
@@ -212,8 +213,6 @@ func (g *Graph) Prepare(m query.Meta) *Node {
 		Seq:     g.nextID,
 		Done:    g.newGate(fmt.Sprintf("query %d done", g.nextID)),
 		state:   Waiting,
-		out:     map[*Node]float64{},
-		in:      map[*Node]float64{},
 		heapIdx: -1,
 	}
 }
@@ -237,14 +236,14 @@ func (g *Graph) Enqueue(n *Node) {
 	tree := g.treeFor(n.Meta.Dataset())
 	for _, c := range tree.Search(n.Meta.Region(), nil) {
 		if w := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta)); w > 0 {
-			c.out[n] = w
-			n.in[c] = w
+			c.out.add(n, w)
+			n.in.add(c, w)
 			g.st.EdgePairs++
 			g.mx.edgePairs.Inc()
 		}
 		if w := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta)); w > 0 {
-			n.out[c] = w
-			c.in[n] = w
+			n.out.add(c, w)
+			c.in.add(n, w)
 			g.st.EdgePairs++
 			g.mx.edgePairs.Inc()
 		}
@@ -312,16 +311,7 @@ func (g *Graph) Remove(n *Node) {
 	if n.state == Waiting {
 		panic(fmt.Sprintf("sched: Remove of WAITING node %d", n.ID))
 	}
-	former := make([]*Node, 0, len(n.in)+len(n.out))
-	for k := range n.out {
-		delete(k.in, n)
-		former = append(former, k)
-	}
-	for k := range n.in {
-		delete(k.out, n)
-		former = append(former, k)
-	}
-	n.out, n.in = map[*Node]float64{}, map[*Node]float64{}
+	former := g.detachLocked(n)
 	n.state = SwappedOut
 	g.treeFor(n.Meta.Dataset()).Delete(n.Meta.Region(), n)
 	delete(g.nodes, n.ID)
@@ -345,16 +335,7 @@ func (g *Graph) CancelWaiting(n *Node) bool {
 		return false
 	}
 	heap.Remove(&g.waiting, n.heapIdx)
-	former := make([]*Node, 0, len(n.in)+len(n.out))
-	for k := range n.out {
-		delete(k.in, n)
-		former = append(former, k)
-	}
-	for k := range n.in {
-		delete(k.out, n)
-		former = append(former, k)
-	}
-	n.out, n.in = map[*Node]float64{}, map[*Node]float64{}
+	former := g.detachLocked(n)
 	n.state = SwappedOut
 	g.treeFor(n.Meta.Dataset()).Delete(n.Meta.Region(), n)
 	delete(g.nodes, n.ID)
@@ -379,25 +360,23 @@ func (g *Graph) ExecutingProducers(n *Node) []*Node {
 // producersLocked collects the EXECUTING producers of n that pass the
 // optional eligibility filter, ordered by decreasing weight.
 func (g *Graph) producersLocked(n *Node, eligible func(*Node) bool) []*Node {
-	var out []*Node
-	for k := range n.in {
-		if k.state == Executing && (eligible == nil || eligible(k)) {
-			out = append(out, k)
+	var out []edge
+	for _, e := range n.in.list {
+		if e.k.state == Executing && (eligible == nil || eligible(e.k)) {
+			out = append(out, e)
 		}
 	}
-	// Insertion order from a map is random; sort by weight then ID for
-	// determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			wi, wj := n.in[out[j]], n.in[out[j-1]]
-			if wi > wj || (wi == wj && out[j].ID < out[j-1].ID) {
-				out[j], out[j-1] = out[j-1], out[j]
-			} else {
-				break
-			}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].w != out[j].w {
+			return out[i].w > out[j].w
 		}
+		return out[i].k.ID < out[j].k.ID
+	})
+	nodes := make([]*Node, len(out))
+	for i, e := range out {
+		nodes[i] = e.k
 	}
-	return out
+	return nodes
 }
 
 // BlockableProducers is ExecutingProducers restricted to producers a running
@@ -419,8 +398,7 @@ func (g *Graph) BlockableProducers(n *Node) []*Node {
 func (g *Graph) EdgeWeight(src, dst *Node) (float64, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	w, ok := src.out[dst]
-	return w, ok
+	return src.out.weight(dst)
 }
 
 // Observe forwards a completed query's response time to the ranking policy
@@ -485,14 +463,84 @@ func (g *Graph) updateGaugesLocked() {
 
 // refreshNeighboursLocked recomputes the ranks of every neighbour of n.
 func (g *Graph) refreshNeighboursLocked(n *Node) {
-	for k := range n.out {
-		g.refreshLocked(k)
+	for _, e := range n.out.list {
+		g.refreshLocked(e.k)
 	}
-	for k := range n.in {
-		if _, dup := n.out[k]; !dup {
-			g.refreshLocked(k)
+	for _, e := range n.in.list {
+		if _, dup := n.out.weight(e.k); !dup {
+			g.refreshLocked(e.k)
 		}
 	}
+}
+
+// detachLocked removes every edge of n and returns its former neighbours.
+func (g *Graph) detachLocked(n *Node) []*Node {
+	former := make([]*Node, 0, len(n.in.list)+len(n.out.list))
+	for _, e := range n.out.list {
+		e.k.in.remove(n)
+		former = append(former, e.k)
+	}
+	for _, e := range n.in.list {
+		e.k.out.remove(n)
+		former = append(former, e.k)
+	}
+	n.out, n.in = edges{}, edges{}
+	return former
+}
+
+// edge is a reuse edge seen from one of its ends: the node at the other end
+// and the weight.
+type edge struct {
+	k *Node
+	w float64
+}
+
+// edges is one side of a node's adjacency. Ranking strategies sum over list,
+// whose order depends only on the order of graph operations, so a rank's
+// floating-point sum rounds the same way on every run (a map's iteration
+// order would not). pos indexes list for lookup and O(1) removal.
+type edges struct {
+	list []edge
+	pos  map[*Node]int
+}
+
+// add sets the weight of the edge to k, appending it if new. The overlap
+// index can report one node twice, so a repeated add overwrites, as a map
+// assignment would.
+func (s *edges) add(k *Node, w float64) {
+	if i, ok := s.pos[k]; ok {
+		s.list[i].w = w
+		return
+	}
+	if s.pos == nil {
+		s.pos = map[*Node]int{}
+	}
+	s.pos[k] = len(s.list)
+	s.list = append(s.list, edge{k, w})
+}
+
+func (s *edges) weight(k *Node) (float64, bool) {
+	i, ok := s.pos[k]
+	if !ok {
+		return 0, false
+	}
+	return s.list[i].w, true
+}
+
+// remove drops the edge to k, moving the last edge into its slot.
+func (s *edges) remove(k *Node) {
+	i, ok := s.pos[k]
+	if !ok {
+		return
+	}
+	last := len(s.list) - 1
+	if i != last {
+		s.list[i] = s.list[last]
+		s.pos[s.list[i].k] = i
+	}
+	s.list[last] = edge{}
+	s.list = s.list[:last]
+	delete(s.pos, k)
 }
 
 func (g *Graph) treeFor(ds string) *spatial.Tree[*Node] {

@@ -488,3 +488,62 @@ func TestNamesResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestRankSumOrderFixed rebuilds one consumer's producers many times and
+// requires bit-identical CF ranks: the producers' weights differ by orders
+// of magnitude and are not integers, so summing them in a different order
+// rounds differently.
+func TestRankSumOrderFixed(t *testing.T) {
+	build := func() float64 {
+		g, _ := rig(CF{Alpha: 0.2})
+		var prods []*Node
+		for s := int64(3); s < 990; s = s*5/4 + 1 {
+			prods = append(prods, g.Insert(meta(geom.R(0, 0, s, s))))
+		}
+		for range prods {
+			g.Dequeue()
+		}
+		for i, p := range prods {
+			if i%2 == 0 {
+				g.MarkCached(p)
+			}
+		}
+		return g.Insert(meta(geom.R(0, 0, 997, 991))).Rank()
+	}
+	want := build()
+	if want <= 0 {
+		t.Fatalf("consumer rank %v, want > 0", want)
+	}
+	for i := 0; i < 100; i++ {
+		if got := build(); got != want {
+			t.Fatalf("rebuild %d: rank %v, first build %v", i, got, want)
+		}
+	}
+}
+
+// TestEdgesAddOverwrites: adding an edge twice keeps one edge with the
+// latest weight, and removal keeps lookups consistent.
+func TestEdgesAddOverwrites(t *testing.T) {
+	a, b, c := &Node{ID: 1}, &Node{ID: 2}, &Node{ID: 3}
+	var s edges
+	s.add(a, 1)
+	s.add(b, 2)
+	s.add(a, 3)
+	s.add(c, 4)
+	if len(s.list) != 3 {
+		t.Fatalf("%d edges, want 3", len(s.list))
+	}
+	if w, ok := s.weight(a); !ok || w != 3 {
+		t.Fatalf("w(a) = %v,%v, want 3", w, ok)
+	}
+	s.remove(a)
+	s.remove(a)
+	if _, ok := s.weight(a); ok || len(s.list) != 2 {
+		t.Fatalf("after remove: %d edges, a present %v", len(s.list), ok)
+	}
+	for _, n := range []*Node{b, c} {
+		if w, ok := s.weight(n); !ok || w != float64(n.ID*2-2) {
+			t.Fatalf("w(%d) = %v,%v", n.ID, w, ok)
+		}
+	}
+}

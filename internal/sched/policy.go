@@ -6,7 +6,7 @@ import (
 	"mqsched/internal/query"
 )
 
-// Policy is a ranking strategy: given a WAITING node (with its edge maps and
+// Policy is a ranking strategy: given a WAITING node (with its edges and
 // neighbour states visible), return its rank. Higher ranks execute first.
 // Rank is called with the graph's lock held.
 type Policy interface {
@@ -36,9 +36,9 @@ func (MUF) Name() string { return "MUF" }
 // Rank implements Policy.
 func (MUF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.out {
-		if k.state == Waiting {
-			r += w
+	for _, e := range n.out.list {
+		if e.k.state == Waiting {
+			r += e.w
 		}
 	}
 	return r
@@ -56,9 +56,9 @@ func (FF) Name() string { return "FF" }
 // Rank implements Policy.
 func (FF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.in {
-		if k.state == Waiting || k.state == Executing {
-			r -= w
+	for _, e := range n.in.list {
+		if e.k.state == Waiting || e.k.state == Executing {
+			r -= e.w
 		}
 	}
 	return r
@@ -81,12 +81,12 @@ func (c CF) Name() string { return fmt.Sprintf("CF(α=%.2g)", c.Alpha) }
 // Rank implements Policy.
 func (c CF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.in {
-		switch k.state {
+	for _, e := range n.in.list {
+		switch e.k.state {
 		case Cached:
-			r += w
+			r += e.w
 		case Executing:
-			r += c.Alpha * w
+			r += c.Alpha * e.w
 		}
 	}
 	return r
@@ -103,12 +103,12 @@ func (CNBF) Name() string { return "CNBF" }
 // Rank implements Policy.
 func (CNBF) Rank(n *Node) float64 {
 	var r float64
-	for k, w := range n.in {
-		switch k.state {
+	for _, e := range n.in.list {
+		switch e.k.state {
 		case Cached:
-			r += w
+			r += e.w
 		case Executing:
-			r -= w
+			r -= e.w
 		}
 	}
 	return r
