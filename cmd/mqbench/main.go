@@ -26,8 +26,8 @@ import (
 	"time"
 
 	"mqsched"
-	"mqsched/internal/driver"
 	"mqsched/internal/experiment"
+	"mqsched/internal/load"
 	"mqsched/internal/stack"
 	"mqsched/internal/traceviz"
 	"mqsched/internal/vm"
@@ -42,8 +42,8 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		slideSz  = flag.Int64("slide-side", 0, "slide edge in pixels (0 = the paper's 30000); small values keep -trace-out captures compact")
 		csvDir   = flag.String("csv", "", "directory to write CSV copies of each table")
-		dumpWl   = flag.String("dumpworkload", "", "write the generated workload (both ops) as JSON to this path and exit")
-		loadWl   = flag.String("workload", "", "replay a saved workload (JSON) through a single run instead of an experiment sweep")
+		dumpWl   = flag.String("dumpworkload", "", "write the generated workload (first -op) over the -slide-side slides as JSON to this path and exit")
+		loadWl   = flag.String("workload", "", "replay a saved workload (JSON) over the -slide-side slides through a single run instead of an experiment sweep")
 		traceOut = flag.String("trace-out", "", "run one traced configuration and write its span trees as Chrome trace_event JSON to this path (open in chrome://tracing or Perfetto)")
 	)
 	sc := stack.Config{Policy: "cnbf", Threads: 4, CPUs: 24, Disks: 4, DSPolicy: "lru"}
@@ -205,22 +205,19 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// dumpWorkload writes the workload an experiment would run, for inspection
-// or replay.
+// dumpWorkload writes the workload a run of base with op would generate,
+// over the run's own slides, for inspection or replay.
 func dumpWorkload(path string, base experiment.Config, op vm.Op) error {
-	table := driver.PaperSlides()
-	queries := driver.Generate(driver.WorkloadConfig{
-		Clients:          base.Clients,
-		QueriesPerClient: base.QueriesPerClient,
-		Op:               op,
-		Seed:             base.Seed,
-	}, table)
+	base.Op = op
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return driver.SaveWorkload(f, queries)
+	if err := load.SaveWorkload(f, base.Workload()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // replayWorkload runs one configuration to completion — replaying a saved
@@ -238,7 +235,7 @@ func replayWorkload(path string, base experiment.Config, op vm.Op, traceOut stri
 			return err
 		}
 		defer f.Close()
-		queries, err = driver.LoadWorkload(f, driver.PaperSlides())
+		queries, err = load.LoadWorkload(f, base.Slides())
 		if err != nil {
 			return err
 		}

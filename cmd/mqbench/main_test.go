@@ -2,10 +2,13 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mqsched/internal/experiment"
+	"mqsched/internal/load"
 	"mqsched/internal/stack"
 	"mqsched/internal/vm"
 )
@@ -38,5 +41,43 @@ func TestSpanBreakdownNamesDrop(t *testing.T) {
 		if capacity == experiment.FullRunSpans && (dropped != 0 || !strings.Contains(head, whole)) {
 			t.Fatalf("full ring: want every query covered, got %q", head)
 		}
+	}
+}
+
+// TestDumpWorkloadUsesRunSlides: -dumpworkload generates over the slides
+// -slide-side sets, so every window fits a 2048² slide.
+func TestDumpWorkloadUsesRunSlides(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.json")
+	base := experiment.Config{Clients: 3, QueriesPerClient: 3, Seed: 1, SlideSide: 2048}
+	if err := dumpWorkload(path, base, vm.Subsample); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	queries, err := load.LoadWorkload(f, load.PaperSlides(2048))
+	if err != nil {
+		t.Fatalf("dumped workload does not fit its own slides: %v", err)
+	}
+	if len(queries) != 3 || len(queries[0]) != 3 {
+		t.Fatalf("dumped %d clients, first with %d queries; want 3 x 3", len(queries), len(queries[0]))
+	}
+}
+
+// TestReplayRejectsForeignSlides: -workload validates against the run's
+// slides, so replaying a 30000² workload at -slide-side 2048 is an error,
+// not a run whose windows read nothing.
+func TestReplayRejectsForeignSlides(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.json")
+	base := experiment.Config{Config: stack.Config{Policy: "fifo"}, Clients: 2, QueriesPerClient: 2, Seed: 1}
+	if err := dumpWorkload(path, base, vm.Subsample); err != nil {
+		t.Fatal(err)
+	}
+	base.SlideSide = 2048
+	err := replayWorkload(path, base, vm.Subsample, "")
+	if err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("replay over smaller slides: err = %v, want an out-of-bounds error", err)
 	}
 }

@@ -1,7 +1,10 @@
 // Command mqdriver emulates multiple simultaneous clients against a running
 // mqserver over TCP, like the driver program of the paper's evaluation
-// (which ran on a cluster of PCs connected to the SMP). It generates a
-// hotspot browsing workload and reports client-observed latency statistics.
+// (which ran on a cluster of PCs connected to the SMP). Each client is
+// closed-loop: it sends its next query when the previous answer arrives.
+// The queries are the paper's hotspot browsing workload (load.Generate)
+// over one -side² slide, and it reports client-observed latency
+// statistics.
 //
 // Usage:
 //
@@ -12,14 +15,16 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"sync"
 	"time"
 
+	"mqsched/internal/dataset"
+	"mqsched/internal/load"
 	"mqsched/internal/netproto"
 	"mqsched/internal/stats"
+	"mqsched/internal/vm"
 )
 
 func main() {
@@ -51,6 +56,17 @@ func main() {
 	case *think < 0:
 		usageError("-think %v: think time cannot be negative", *think)
 	}
+	vmOp, err := vm.ParseOp(*op)
+	if err != nil {
+		usageError("-op: %v", err)
+	}
+	workload := load.Generate(load.WorkloadConfig{
+		Clients:          *clients,
+		QueriesPerClient: *queries,
+		OutputSide:       *outSide,
+		Op:               vmOp,
+		Seed:             *seed,
+	}, dataset.NewTable(vm.NewSlide(*slide, *side, *side)))
 
 	var (
 		mu        sync.Mutex
@@ -71,21 +87,11 @@ func main() {
 			}
 			defer nc.Close()
 			conn := netproto.NewConn(nc)
-			rng := rand.New(rand.NewSource(*seed + int64(c)*7919))
-			for q := 0; q < *queries; q++ {
-				zoom := []int64{1, 2, 4, 8}[rng.Intn(4)]
-				w := *outSide * zoom
-				if w > *side {
-					w = *side
-				}
-				span := *side - w
-				hx := []int64{*side / 4, 3 * *side / 4}[rng.Intn(2)]
-				x0 := clamp(hx-w/2+int64(rng.NormFloat64()*900), 0, span)
-				y0 := clamp(hx-w/2+int64(rng.NormFloat64()*900), 0, span)
+			for _, m := range workload[c] {
 				req := &netproto.Request{
-					Slide: *slide,
-					X0:    x0, Y0: y0, X1: x0 + w, Y1: y0 + w,
-					Zoom: zoom, Op: *op, OmitPixels: true,
+					Slide: m.DS,
+					X0:    m.Rect.X0, Y0: m.Rect.Y0, X1: m.Rect.X1, Y1: m.Rect.Y1,
+					Zoom: m.Zoom, Op: m.Op.String(), OmitPixels: true,
 				}
 				t0 := time.Now()
 				if err := conn.WriteRequest(req); err != nil {
@@ -130,17 +136,4 @@ func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mqdriver: "+format+"\n", args...)
 	flag.Usage()
 	os.Exit(2)
-}
-
-func clamp(v, lo, hi int64) int64 {
-	if hi < lo {
-		hi = lo
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -10,13 +10,12 @@ import (
 	"mqsched/internal/dataset"
 	"mqsched/internal/datastore"
 	"mqsched/internal/disk"
-	"mqsched/internal/driver"
+	"mqsched/internal/load"
 	"mqsched/internal/metrics"
 	"mqsched/internal/pagespace"
 	"mqsched/internal/sched"
 	"mqsched/internal/server"
 	"mqsched/internal/stack"
-	"mqsched/internal/stats"
 	"mqsched/internal/trace"
 	"mqsched/internal/vm"
 )
@@ -45,7 +44,7 @@ type Config struct {
 	PrefetchDepth int
 	// Browse selects the client browsing pattern (experiment X2; default
 	// the paper's hotspot browse).
-	Browse driver.Mode
+	Browse load.Mode
 }
 
 func (c Config) withDefaults() Config {
@@ -59,7 +58,7 @@ func (c Config) withDefaults() Config {
 		c.QueriesPerClient = 16
 	}
 	if c.SlideSide == 0 {
-		c.SlideSide = 30000
+		c.SlideSide = load.PaperSlideSide
 	}
 	return c
 }
@@ -113,22 +112,36 @@ func Run(cfg Config) (Metrics, error) {
 	return RunWorkload(cfg, nil)
 }
 
-// vmStack assembles the simulated stack over three SlideSide² slides served
-// by the Virtual Microscope with cfg's read-ahead depth.
+// Slides is the run's dataset table: three SlideSide² slides.
+func (c Config) Slides() *dataset.Table {
+	return load.PaperSlides(c.withDefaults().SlideSide)
+}
+
+// Workload generates the run's client query lists over c.Slides().
+func (c Config) Workload() [][]vm.Meta {
+	c = c.withDefaults()
+	return load.Generate(load.WorkloadConfig{
+		Clients:          c.Clients,
+		QueriesPerClient: c.QueriesPerClient,
+		Op:               c.Op,
+		Seed:             c.Seed,
+		Mode:             c.Browse,
+	}, c.Slides())
+}
+
+// vmStack assembles the simulated stack over cfg.Slides() served by the
+// Virtual Microscope with cfg's read-ahead depth.
 func vmStack(cfg Config) (*stack.Stack, error) {
-	table := dataset.NewTable(
-		vm.NewSlide("slide1", cfg.SlideSide, cfg.SlideSide),
-		vm.NewSlide("slide2", cfg.SlideSide, cfg.SlideSide),
-		vm.NewSlide("slide3", cfg.SlideSide, cfg.SlideSide),
-	)
+	table := cfg.Slides()
 	app := vm.New(table)
 	app.PrefetchDepth = cfg.PrefetchDepth
 	cfg.App = app
 	return stack.Assemble(cfg.Config, table, nil)
 }
 
-// RunWorkload is Run with an explicit workload (per-client query lists,
-// e.g. loaded with driver.LoadWorkload); pass nil to generate from cfg.
+// RunWorkload is Run with an explicit workload (per-client query lists over
+// cfg.Slides(), e.g. loaded with load.LoadWorkload); pass nil to generate
+// cfg.Workload().
 func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 	cfg = cfg.withDefaults()
 	st, err := vmStack(cfg)
@@ -136,65 +149,33 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 		return Metrics{}, err
 	}
 	cfg.Config = st.Config
-	eng, rtm, farm, graph, srv := st.Engine, st.Sim, st.Farm, st.Graph, st.Server
+	eng, rtm, farm, srv := st.Engine, st.Sim, st.Farm, st.Server
 
 	if queries == nil {
-		queries = driver.Generate(driver.WorkloadConfig{
-			Clients:          cfg.Clients,
-			QueriesPerClient: cfg.QueriesPerClient,
-			Op:               cfg.Op,
-			Seed:             cfg.Seed,
-			Mode:             cfg.Browse,
-		}, st.Table)
+		queries = cfg.Workload()
 	}
-	col := driver.Launch(rtm, srv, queries, driver.LaunchOpts{Batch: cfg.Batch})
-
-	if err := eng.Run(); err != nil {
+	answers, err := launch(st, paperClients(queries, cfg.Batch))
+	if err != nil {
 		return Metrics{}, fmt.Errorf("experiment %v: %w", cfg.Policy, err)
 	}
-	if errs := col.Errs(); len(errs) > 0 {
-		return Metrics{}, fmt.Errorf("experiment: %d submit errors, first: %v", len(errs), errs[0])
-	}
 
-	results := col.Results()
-	resp := make([]float64, 0, len(results))
-	wait := make([]float64, 0, len(results))
-	exec := make([]float64, 0, len(results))
-	var overlapSum float64
-	for _, r := range results {
-		resp = append(resp, r.ResponseTime().Seconds())
-		wait = append(wait, r.WaitTime().Seconds())
-		exec = append(exec, r.ExecTime().Seconds())
-		overlapSum += r.ReusedFrac
-	}
-
-	makespan := col.Makespan().Seconds()
+	m := responseMetrics(answers)
 	cpuBusy := rtm.CPUUtilization() * float64(cfg.CPUs) * eng.Now().Seconds()
 	diskBusy := farm.Stats().ServiceSum.Seconds()
 	ratio := 0.0
 	if diskBusy > 0 {
 		ratio = cpuBusy / diskBusy
 	}
-
-	m := Metrics{
-		Config:          cfg,
-		Policy:          st.Policy.Name(),
-		TrimmedResponse: stats.TrimmedMean95(resp),
-		MeanResponse:    stats.Mean(resp),
-		MeanWait:        stats.Mean(wait),
-		MeanExec:        stats.Mean(exec),
-		AvgOverlap:      overlapSum / float64(max(len(results), 1)),
-		Makespan:        makespan,
-		CPUBusySeconds:  cpuBusy,
-		DiskBusySeconds: diskBusy,
-		CPUToIORatio:    ratio,
-		DiskUtilization: farm.Utilization(),
-		Server:          srv.Stats(),
-		Disk:            farm.Stats(),
-		PageSpace:       st.PageSpace.Stats(),
-		Graph:           graph.Stats(),
-		Queries:         len(results),
-	}
+	m.Config = cfg
+	m.Policy = st.Policy.Name()
+	m.CPUBusySeconds = cpuBusy
+	m.DiskBusySeconds = diskBusy
+	m.CPUToIORatio = ratio
+	m.DiskUtilization = farm.Utilization()
+	m.Server = srv.Stats()
+	m.Disk = farm.Stats()
+	m.PageSpace = st.PageSpace.Stats()
+	m.Graph = st.Graph.Stats()
 	if st.DataStore != nil {
 		m.DataStore = st.DataStore.Stats()
 	}

@@ -4,22 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"mqsched/internal/driver"
 	"mqsched/internal/stack"
 	"mqsched/internal/vm"
 )
-
-// generateFor builds the workload Run would generate for cfg.
-func generateFor(cfg Config) [][]vm.Meta {
-	cfg = cfg.withDefaults()
-	return driver.Generate(driver.WorkloadConfig{
-		Clients:          cfg.Clients,
-		QueriesPerClient: cfg.QueriesPerClient,
-		Op:               cfg.Op,
-		Seed:             cfg.Seed,
-		Mode:             cfg.Browse,
-	}, driver.PaperSlides())
-}
 
 // moderate is a workload large enough to exhibit the paper's qualitative
 // effects while keeping `go test` fast (~100ms per run).
@@ -317,7 +304,7 @@ func TestRunWorkloadExplicit(t *testing.T) {
 	cfg := Config{Op: vm.Subsample, Clients: 2, QueriesPerClient: 2, Seed: 5}
 	// Replaying the exact workload Run would generate must give identical
 	// metrics.
-	queries := generateFor(cfg)
+	queries := cfg.Workload()
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

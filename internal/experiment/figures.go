@@ -5,7 +5,7 @@ import (
 	"slices"
 	"strings"
 
-	"mqsched/internal/driver"
+	"mqsched/internal/load"
 	"mqsched/internal/stats"
 	"mqsched/internal/trace"
 	"mqsched/internal/traceviz"
@@ -292,7 +292,7 @@ func WorkloadSensitivity(base Config) (Table, error) {
 			"the reuse-aware strategies' advantage over FIFO depends on the overlap structure",
 		},
 	}
-	modes := []driver.Mode{driver.Browse, driver.Pan, driver.ZoomStack}
+	modes := []load.Mode{load.Browse, load.Pan, load.ZoomStack}
 	for _, pol := range Policies {
 		row := []any{policyLabel(pol)}
 		for _, mode := range modes {

@@ -2,13 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mqsched/internal/datastore"
 	"mqsched/internal/load"
 	"mqsched/internal/query"
-	"mqsched/internal/rt"
 	"mqsched/internal/server"
 	"mqsched/internal/stats"
 )
@@ -42,10 +40,11 @@ type LoadMetrics struct {
 }
 
 // RunLoad offers an open-loop query stream (load.Build) to the simulated
-// stack: a dispatcher process releases each item at its virtual arrival
-// instant and a waiter per query records its response time, warmup
-// excluded. Unlike RunWorkload's closed-loop clients, arrivals here never
-// wait for completions, so queueing delay under overload is visible.
+// stack as one client that releases each item at its virtual arrival
+// instant and collects the answers after its last submission; response
+// times run from arrival to completion, warmup excluded. Unlike
+// RunWorkload's closed-loop clients, arrivals here never wait for
+// completions, so queueing delay under overload is visible.
 func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, error) {
 	if len(items) == 0 {
 		return LoadMetrics{}, fmt.Errorf("experiment: empty load stream")
@@ -59,77 +58,34 @@ func RunLoad(cfg Config, items []load.Item, warmup time.Duration) (LoadMetrics, 
 		return LoadMetrics{}, err
 	}
 
-	var (
-		mu        sync.Mutex
-		sk        = stats.NewSketch(0.005)
-		measured  int
-		completed int
-		reuseSum  float64
-		finalTime time.Duration
-		remaining = len(items)
-	)
-	done := st.Runtime.NewGate("load stream drained")
-	record := func(it load.Item, res *query.Result, now time.Duration) {
-		mu.Lock()
-		defer mu.Unlock()
-		completed++
-		if it.At >= warmup {
-			measured++
-			sk.Add(res.ResponseTime().Seconds())
-			reuseSum += res.ReusedFrac
-		}
-		if now > finalTime {
-			finalTime = now
-		}
-		remaining--
-		if remaining == 0 {
-			done.Open()
-		}
+	stream := client{queries: make([]query.Meta, len(items)), at: make([]time.Duration, len(items))}
+	for i, it := range items {
+		stream.queries[i], stream.at[i] = it.Meta, it.At
 	}
-
-	var submitErr error
-	st.Runtime.Spawn("load-dispatcher", func(ctx rt.Ctx) {
-		for _, it := range items {
-			if d := it.At - ctx.Now(); d > 0 {
-				ctx.Sleep(d)
-			}
-			tk, err := st.Server.Submit(it.Meta)
-			if err != nil {
-				mu.Lock()
-				if submitErr == nil {
-					submitErr = err
-				}
-				remaining--
-				last := remaining == 0
-				mu.Unlock()
-				if last {
-					done.Open()
-				}
-				continue
-			}
-			it := it
-			st.Runtime.Spawn(fmt.Sprintf("load-wait-%d", it.Seq), func(ctx rt.Ctx) {
-				res := tk.Wait(ctx)
-				record(it, res, ctx.Now())
-			})
-		}
-	})
-	st.Runtime.Spawn("load-closer", func(ctx rt.Ctx) {
-		done.Wait(ctx)
-		st.Server.Close()
-	})
-
-	if err := st.Engine.Run(); err != nil {
+	answers, err := launch(st, []client{stream})
+	if err != nil {
 		return LoadMetrics{}, fmt.Errorf("experiment load %v: %w", cfg.Policy, err)
 	}
-	if submitErr != nil {
-		return LoadMetrics{}, fmt.Errorf("experiment load: submit: %w", submitErr)
+
+	sk := stats.NewSketch(0.005)
+	var (
+		measured  int
+		reuseSum  float64
+		finalTime time.Duration
+	)
+	for _, a := range answers {
+		if a.at >= warmup {
+			measured++
+			sk.Add(a.res.ResponseTime().Seconds())
+			reuseSum += a.res.ReusedFrac
+		}
+		finalTime = max(finalTime, a.res.Completed)
 	}
 
 	m := LoadMetrics{
 		Policy:    st.Policy.Name(),
 		Offered:   float64(len(items)) / items[len(items)-1].At.Seconds(),
-		Queries:   completed,
+		Queries:   len(answers),
 		Measured:  measured,
 		P50:       sk.Quantile(50),
 		P95:       sk.Quantile(95),

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mqsched/internal/driver"
 	"mqsched/internal/load"
 	"mqsched/internal/stack"
 	"mqsched/internal/vm"
@@ -15,7 +14,7 @@ func loadStream(t *testing.T, rate float64, n int) []load.Item {
 	return load.Build(load.GenConfig{
 		Users: 100, DatasetZipfS: 1.1, HotspotZipfS: 1.2, UserZipfS: 0.6,
 		OutputSide: 512, Op: vm.Subsample, Seed: 1,
-	}, driver.PaperSlides(), load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
+	}, load.PaperSlides(load.PaperSlideSide), load.ArrivalConfig{Process: load.Poisson, Rate: rate, Seed: 1}, n)
 }
 
 // TestRunLoadDeterministic checks the whole sim-side load pipeline is

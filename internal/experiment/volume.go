@@ -2,16 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/driver"
-	"mqsched/internal/geom"
-	"mqsched/internal/rt"
-	"mqsched/internal/server"
+	"mqsched/internal/load"
 	"mqsched/internal/stack"
-	"mqsched/internal/stats"
 	"mqsched/internal/vol"
 )
 
@@ -40,8 +35,9 @@ func VolumeComparison(base Config) (Table, error) {
 	return t, nil
 }
 
-// runVolume drives an analyst workload through the simulated stack running
-// the vol app.
+// runVolume drives the analyst workload (load.VolumeAnalysts): each
+// analyst is a closed-loop client that thinks for 500 ms after every
+// answer.
 func runVolume(cfg Config, policyName string) (Metrics, error) {
 	app := vol.New()
 	dims := vol.Dims{Width: 8192, Height: 8192, Depth: 64}
@@ -54,104 +50,18 @@ func runVolume(cfg Config, policyName string) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	queries := volumeWorkload(dims, cfg.Seed, cfg.Clients, cfg.QueriesPerClient)
-	col := launchVolume(st.Runtime, st.Server, queries)
-	if err := st.Engine.Run(); err != nil {
+	analysts := load.VolumeAnalysts(dims, cfg.Seed, cfg.Clients, cfg.QueriesPerClient)
+	clients := make([]client, len(analysts))
+	for i, list := range analysts {
+		clients[i] = client{queries: metas(list), closed: true, think: 500 * time.Millisecond}
+	}
+	answers, err := launch(st, clients)
+	if err != nil {
 		return Metrics{}, fmt.Errorf("experiment v1 %s: %w", policyName, err)
 	}
-	if errs := col.Errs(); len(errs) > 0 {
-		return Metrics{}, errs[0]
-	}
-
-	results := col.Results()
-	resp := make([]float64, 0, len(results))
-	var overlapSum float64
-	for _, r := range results {
-		resp = append(resp, r.ResponseTime().Seconds())
-		overlapSum += r.ReusedFrac
-	}
-	return Metrics{
-		Policy:          st.Policy.Name(),
-		TrimmedResponse: stats.TrimmedMean95(resp),
-		AvgOverlap:      overlapSum / float64(max(len(results), 1)),
-		Makespan:        col.Makespan().Seconds(),
-		Queries:         len(results),
-		Server:          st.Server.Stats(),
-		Disk:            st.Farm.Stats(),
-	}, nil
-}
-
-// volumeWorkload emulates analysts rendering MIP slabs around shared foci:
-// mixed zooms {2,4,8}, alternating full-volume and focused slabs.
-func volumeWorkload(dims vol.Dims, seed int64, clients, perClient int) [][]vol.Meta {
-	names := []string{"vol1", "vol2"}
-	out := make([][]vol.Meta, clients)
-	for c := 0; c < clients; c++ {
-		rng := rand.New(rand.NewSource(seed + int64(c)*131 + 17))
-		ds := names[c%len(names)]
-		// Shared focus per volume plus per-client jitter.
-		fx := dims.Width/2 + int64(rng.NormFloat64()*600)
-		fy := dims.Height/2 + int64(rng.NormFloat64()*600)
-		for q := 0; q < perClient; q++ {
-			zoom := []int64{2, 4, 8}[rng.Intn(3)]
-			side := int64(512) * zoom
-			if side > dims.Width {
-				side = dims.Width
-			}
-			x0 := clampI64(fx-side/2, 0, dims.Width-side) / zoom * zoom
-			y0 := clampI64(fy-side/2, 0, dims.Height-side) / zoom * zoom
-			// Alternate between the full stack and a focused half-slab.
-			z0, z1 := 0, dims.Depth
-			if q%2 == 1 {
-				z0, z1 = dims.Depth/4, 3*dims.Depth/4
-			}
-			w := geom.R(x0, y0, x0+side, y0+side)
-			out[c] = append(out[c], vol.NewMeta(ds, dims, w, z0, z1, zoom, vol.MIP))
-		}
-	}
-	return out
-}
-
-// launchVolume mirrors driver.Launch for vol.Meta queries (the driver is
-// typed for the VM application).
-func launchVolume(rtm rt.Runtime, srv *server.Server, queries [][]vol.Meta) *driver.Collector {
-	col := driver.NewCollector(rtm.Now())
-	remaining := len(queries)
-	done := rtm.NewGate("volume clients done")
-	for i := range queries {
-		i := i
-		rtm.Spawn(fmt.Sprintf("analyst-%d", i), func(ctx rt.Ctx) {
-			for _, m := range queries[i] {
-				tk, err := srv.Submit(m)
-				if err != nil {
-					col.Fail(err)
-					break
-				}
-				col.Add(tk.Wait(ctx))
-				ctx.Sleep(500 * time.Millisecond)
-			}
-			remaining--
-			if remaining == 0 {
-				done.Open()
-			}
-		})
-	}
-	rtm.Spawn("closer", func(ctx rt.Ctx) {
-		done.Wait(ctx)
-		srv.Close()
-	})
-	return col
-}
-
-func clampI64(v, lo, hi int64) int64 {
-	if hi < lo {
-		hi = lo
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	m := responseMetrics(answers)
+	m.Policy = st.Policy.Name()
+	m.Server = st.Server.Stats()
+	m.Disk = st.Farm.Stats()
+	return m, nil
 }

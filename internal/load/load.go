@@ -1,10 +1,17 @@
-// Package load is the production-traffic workload instrument: a
-// deterministic *generator* that turns thousands of simulated user sessions
-// into a single skewed query stream, and an open-loop *runner* that offers
-// that stream to a live server at a configured arrival rate and measures
-// what comes back (generator/runner split in the spirit of TSBS).
+// Package load is the workload package. It generates every simulated
+// query workload, and its runner offers open-loop streams to a live server.
 //
-// It differs from internal/driver — the paper's 16 closed-loop clients — in
+//   - Generate builds the paper's §5 workload: 16 closed-loop clients
+//     browsing hotspots (paper.go), saved and replayed with
+//     SaveWorkload/LoadWorkload (workload.go).
+//   - Build turns thousands of simulated user sessions into one skewed,
+//     timed query stream, and Run offers it to a live server at a configured
+//     arrival rate and measures what comes back (generator/runner split in
+//     the spirit of TSBS).
+//   - VolumeAnalysts builds the 3-D volume app's analyst workload.
+//
+// Both 2-D generators draw hotspots with pickHotspots and build every window
+// with squareAt. The session stream differs from the paper's clients in
 // three ways that matter for production claims:
 //
 //   - Open loop: arrivals come from a clock (constant / Poisson / burst),
@@ -28,7 +35,6 @@ import (
 	"time"
 
 	"mqsched/internal/dataset"
-	"mqsched/internal/geom"
 	"mqsched/internal/vm"
 )
 
@@ -157,13 +163,8 @@ func NewGenerator(cfg GenConfig, table *dataset.Table) *Generator {
 	// the seed and the dataset's position — not on user count.
 	spots := make([][][2]int64, len(names))
 	for d, name := range names {
-		l := table.Get(name)
 		hrng := rand.New(rand.NewSource(cfg.Seed + int64(d)*104729 + 3))
-		for h := 0; h < cfg.HotspotsPerDataset; h++ {
-			x := l.Width/4 + hrng.Int63n(maxI64(l.Width/2, 1))
-			y := l.Height/4 + hrng.Int63n(maxI64(l.Height/2, 1))
-			spots[d] = append(spots[d], [2]int64{x, y})
-		}
+		spots[d] = pickHotspots(hrng, table.Get(name), cfg.HotspotsPerDataset)
 	}
 
 	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
@@ -249,8 +250,8 @@ func (s *session) step() vm.Meta {
 		// Walked off the slide: bounce back toward the interior.
 		lo, hiX, hiY := side/2, s.l.Width-side/2, s.l.Height-side/2
 		if s.cx < lo || s.cx > hiX || s.cy < lo || s.cy > hiY {
-			s.cx = clampI64(s.cx, lo, hiX)
-			s.cy = clampI64(s.cy, lo, hiY)
+			s.cx = clamp(s.cx, lo, hiX)
+			s.cy = clamp(s.cy, lo, hiY)
 			s.theta += math.Pi
 		}
 	}
@@ -259,44 +260,12 @@ func (s *session) step() vm.Meta {
 
 // window is the current window side at base resolution.
 func (s *session) window() int64 {
-	side := s.cfg.OutputSide * s.cfg.Zooms[s.zoomIdx]
-	return minI64(minI64(side, s.l.Width), s.l.Height)
+	return min(s.cfg.OutputSide*s.cfg.Zooms[s.zoomIdx], s.l.Width, s.l.Height)
 }
 
-// query builds the zoom-aligned window at the current viewpoint, clamped to
-// the dataset (same construction as internal/driver).
+// query builds the window at the current viewpoint.
 func (s *session) query() vm.Meta {
 	zoom := s.cfg.Zooms[s.zoomIdx]
-	side := s.window()
-	x0 := geom.FloorDiv(clampI64(s.cx-side/2, 0, s.l.Width-side), zoom) * zoom
-	y0 := geom.FloorDiv(clampI64(s.cy-side/2, 0, s.l.Height-side), zoom) * zoom
-	side = geom.FloorDiv(side, zoom) * zoom
-	return vm.NewMeta(s.ds, geom.R(x0, y0, x0+side, y0+side), zoom, s.cfg.Op)
-}
-
-func clampI64(v, lo, hi int64) int64 {
-	if hi < lo {
-		hi = lo
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	w := squareAt(s.cx, s.cy, s.cfg.OutputSide*zoom, zoom, s.l.Width, s.l.Height)
+	return vm.NewMeta(s.ds, w, zoom, s.cfg.Op)
 }

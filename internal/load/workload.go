@@ -1,4 +1,4 @@
-package driver
+package load
 
 import (
 	"encoding/json"
@@ -54,30 +54,30 @@ func SaveWorkload(w io.Writer, queries [][]vm.Meta) error {
 func LoadWorkload(r io.Reader, table *dataset.Table) ([][]vm.Meta, error) {
 	var f workloadFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("driver: decoding workload: %w", err)
+		return nil, fmt.Errorf("load: decoding workload: %w", err)
 	}
 	if f.Version != 1 {
-		return nil, fmt.Errorf("driver: unsupported workload version %d", f.Version)
+		return nil, fmt.Errorf("load: unsupported workload version %d", f.Version)
 	}
 	out := make([][]vm.Meta, len(f.Clients))
 	for i, list := range f.Clients {
 		for _, q := range list {
 			op, err := vm.ParseOp(q.Op)
 			if err != nil {
-				return nil, fmt.Errorf("driver: client %d: %w", i, err)
+				return nil, fmt.Errorf("load: client %d: %w", i, err)
 			}
 			l, ok := table.Lookup(q.Dataset)
 			if !ok {
-				return nil, fmt.Errorf("driver: client %d: unknown dataset %q", i, q.Dataset)
+				return nil, fmt.Errorf("load: client %d: unknown dataset %q", i, q.Dataset)
 			}
 			rect := geom.R(q.X0, q.Y0, q.X1, q.Y1)
 			if !l.Bounds().Contains(rect) {
-				return nil, fmt.Errorf("driver: client %d: window %v outside %q bounds", i, rect, q.Dataset)
+				return nil, fmt.Errorf("load: client %d: window %v outside %q bounds", i, rect, q.Dataset)
 			}
 			// vm.NewMeta panics on malformed predicates; convert to errors.
 			m, err := safeNewMeta(q.Dataset, rect, q.Zoom, op)
 			if err != nil {
-				return nil, fmt.Errorf("driver: client %d: %w", i, err)
+				return nil, fmt.Errorf("load: client %d: %w", i, err)
 			}
 			out[i] = append(out[i], m)
 		}

@@ -1,4 +1,4 @@
-package driver
+package load
 
 import (
 	"bytes"
@@ -11,7 +11,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	table := smallTable()
-	cfg := WorkloadConfig{Clients: 5, QueriesPerClient: 4, ClientsPerDataset: []int{3, 2}, OutputSide: 128, Seed: 11, Op: vm.Average}
+	cfg := WorkloadConfig{Clients: 10, QueriesPerClient: 4, OutputSide: 128, Seed: 11, Op: vm.Average}
 	orig := Generate(cfg, table)
 
 	var buf bytes.Buffer
