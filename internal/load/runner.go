@@ -110,7 +110,7 @@ type Result struct {
 	// this offered load.
 	AchievedQPS float64
 	// Latency is the streaming sketch of measured latencies in
-	// milliseconds.
+	// milliseconds, each from the query's scheduled arrival to its response.
 	Latency *stats.Sketch
 	// MeanReuse is the mean server-reported reused fraction of measured
 	// queries.
@@ -124,10 +124,13 @@ type Result struct {
 
 // record is one per-query JSONL line for offline analysis (mqviz).
 type record struct {
-	Seq     int     `json:"seq"`
-	User    int     `json:"user"`
-	AtMS    float64 `json:"at_ms"`   // scheduled arrival offset
-	LatMS   float64 `json:"lat_ms"`  // client-observed latency
+	Seq  int     `json:"seq"`
+	User int     `json:"user"`
+	AtMS float64 `json:"at_ms"` // scheduled arrival offset
+	// LatMS is the client-observed latency: from the scheduled arrival
+	// instant to the response, so it includes time the query spent queued
+	// client-side waiting for a free worker.
+	LatMS   float64 `json:"lat_ms"`
 	WaitMS  float64 `json:"wait_ms"` // server-reported queueing delay
 	Reused  float64 `json:"reused"`
 	Err     string  `json:"err,omitempty"`
@@ -190,9 +193,10 @@ func Run(cfg RunnerConfig, items []Item, offered float64) (Result, error) {
 					Zoom: it.Meta.Zoom, Op: it.Meta.Op.String(),
 					OmitPixels: true,
 				}
-				t0 := time.Now()
 				resp, err := pools[it.Seq%len(pools)].Get().Do(req)
-				lat := time.Since(t0)
+				// Open-loop latency runs from the scheduled arrival, not
+				// from worker pickup, so client-side queueing counts.
+				lat := time.Since(start.Add(it.At))
 				if err == nil && resp.Err != "" {
 					err = fmt.Errorf("%s", resp.Err)
 				}

@@ -272,3 +272,67 @@ func TestRunnerAddrsValidate(t *testing.T) {
 		t.Fatal("blank address in Addrs should not validate")
 	}
 }
+
+// TestRunnerLatencyFromArrival: with one worker and a server that takes
+// service to answer, the third of three simultaneous arrivals waits for the
+// first two client-side, and its latency counts that wait.
+func TestRunnerLatencyFromArrival(t *testing.T) {
+	const service = 40 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				c := netproto.NewConn(conn)
+				defer conn.Close()
+				for {
+					req, err := c.ReadRequest()
+					if err != nil {
+						return
+					}
+					if req.Verb != netproto.VerbMetrics {
+						time.Sleep(service)
+					}
+					if err := c.WriteResponse(&netproto.Response{}); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	items := Build(testGenConfig(), testTable4k(), ArrivalConfig{Process: Constant, Rate: 10}, 3)
+	for i := range items {
+		items[i].At = 0
+	}
+	var records bytes.Buffer
+	res, err := Run(RunnerConfig{Addr: l.Addr().String(), Workers: 1, Record: &records}, items, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 3 {
+		t.Fatalf("completed %d of 3", res.Completed)
+	}
+	var last float64
+	for _, ln := range strings.Split(strings.TrimSpace(records.String()), "\n") {
+		var rec struct {
+			Seq   int     `json:"seq"`
+			LatMS float64 `json:"lat_ms"`
+		}
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatalf("bad record %q: %v", ln, err)
+		}
+		if rec.Seq == 2 {
+			last = rec.LatMS
+		}
+	}
+	if want := 2 * float64(service.Milliseconds()); last < want {
+		t.Fatalf("third arrival's latency %.1f ms, want at least %.0f ms (two service times queued)", last, want)
+	}
+}
