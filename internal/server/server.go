@@ -347,8 +347,12 @@ func (s *Server) submit(m query.Meta, materialized bool) (*Ticket, error) {
 	n := s.graph.Prepare(m)
 	res := &query.Result{Meta: m, Arrival: s.rtm.Now()}
 	t := &task{res: res, materialized: materialized}
-	t.span = s.opts.Spans.StartRoot(n.ID, trace.SubServer, trace.OpQuery,
-		trace.Str(trace.AttrStrategy, s.graph.Policy().Name()), trace.Str(trace.AttrQuery, m.String()))
+	if s.opts.Spans != nil {
+		// Formatting the attributes costs allocations; untraced servers
+		// skip it.
+		t.span = s.opts.Spans.StartRoot(n.ID, trace.SubServer, trace.OpQuery,
+			trace.Str(trace.AttrStrategy, s.graph.Policy().Name()), trace.Str(trace.AttrQuery, m.String()))
+	}
 	if materialized {
 		t.span.Annotate(trace.Bool(trace.AttrMaterialized, true))
 	}

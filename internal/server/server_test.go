@@ -17,6 +17,7 @@ import (
 	"mqsched/internal/sched"
 	"mqsched/internal/sim"
 	"mqsched/internal/testapp"
+	"mqsched/internal/trace"
 )
 
 // stack bundles a fully wired simulated server over the toy range-scan app.
@@ -39,6 +40,7 @@ type stackOpts struct {
 	noBlock  bool
 	psBudget int64
 	cpus     int
+	spans    *trace.Tracer
 }
 
 func newStack(o stackOpts) *stack {
@@ -66,6 +68,7 @@ func newStack(o stackOpts) *stack {
 	srv := New(rtm, app, graph, ds, ps, Options{
 		Threads:          o.threads,
 		BlockOnExecuting: !o.noBlock,
+		Spans:            o.spans,
 	})
 	return &stack{eng: eng, rtm: rtm, app: app, layer: l, farm: farm, ps: ps, ds: ds, graph: graph, srv: srv}
 }
@@ -567,5 +570,37 @@ func TestProactiveMaterialization(t *testing.T) {
 	}
 	if late == nil || late.ReusedFrac != 1 {
 		t.Fatalf("late query inside the hot region: %+v, want full reuse from the materialized parent", late)
+	}
+}
+
+// stringCounter is a query that counts how often it is formatted.
+type stringCounter struct {
+	testapp.Meta
+	calls *int
+}
+
+func (c stringCounter) String() string {
+	*c.calls++
+	return c.Meta.String()
+}
+
+// TestUntracedSubmitSkipsQueryString: only a traced server formats the
+// query for its root span; an untraced Submit never calls String.
+func TestUntracedSubmitSkipsQueryString(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		var o stackOpts
+		var tr *trace.Tracer
+		if traced {
+			tr = trace.NewTracer(func() time.Duration { return 0 }, trace.TracerOptions{})
+			o.spans = tr
+		}
+		s := newStack(o)
+		calls := 0
+		if _, err := s.srv.Submit(stringCounter{m(geom.R(0, 0, 10, 10)), &calls}); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: 0, true: 1}[traced]; calls != want {
+			t.Fatalf("traced=%v: String called %d times, want %d", traced, calls, want)
+		}
 	}
 }
