@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		usageError(err)
 	}
-	specs, err := parseSlides(*slides)
+	specs, err := mqsched.ParseSlides(*slides)
 	if err != nil {
 		usageError(err)
 	}
@@ -310,33 +310,6 @@ func parseRates(s string) ([]float64, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty rate sweep")
-	}
-	return out, nil
-}
-
-func parseSlides(s string) ([]mqsched.Slide, error) {
-	var out []mqsched.Slide
-	for _, part := range strings.Split(s, ",") {
-		name, dims, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("bad slide spec %q (want name:WxH)", part)
-		}
-		ws, hs, ok := strings.Cut(dims, "x")
-		if !ok {
-			return nil, fmt.Errorf("bad slide dims %q (want WxH)", dims)
-		}
-		w, err := strconv.ParseInt(ws, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad slide width %q: %v", ws, err)
-		}
-		h, err := strconv.ParseInt(hs, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad slide height %q: %v", hs, err)
-		}
-		if w < 1 || h < 1 {
-			return nil, fmt.Errorf("slide %q dimensions must be positive", name)
-		}
-		out = append(out, mqsched.Slide{Name: name, Width: w, Height: h})
 	}
 	return out, nil
 }

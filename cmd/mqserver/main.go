@@ -25,8 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
+	"os"
 	"time"
 
 	"mqsched"
@@ -54,9 +53,9 @@ func main() {
 	parseStack := stack.BindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	specs, err := parseSlides(*slides)
+	specs, err := mqsched.ParseSlides(*slides)
 	if err != nil {
-		log.Fatal(err)
+		usageError(err)
 	}
 	if err := parseStack(); err != nil {
 		log.Fatal(err)
@@ -140,26 +139,8 @@ func logSlowQueries(tr *trace.Tracer) {
 	}
 }
 
-func parseSlides(s string) ([]mqsched.Slide, error) {
-	var out []mqsched.Slide
-	for _, part := range strings.Split(s, ",") {
-		name, dims, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("bad slide spec %q (want name:WxH)", part)
-		}
-		ws, hs, ok := strings.Cut(dims, "x")
-		if !ok {
-			return nil, fmt.Errorf("bad slide dims %q (want WxH)", dims)
-		}
-		w, err := strconv.ParseInt(ws, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad slide width %q: %v", ws, err)
-		}
-		h, err := strconv.ParseInt(hs, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad slide height %q: %v", hs, err)
-		}
-		out = append(out, mqsched.Slide{Name: name, Width: w, Height: h})
-	}
-	return out, nil
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "mqserver:", err)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -13,18 +17,26 @@ import (
 	"mqsched/internal/trace"
 )
 
+// TestParseSlides runs mqserver with malformed -slides values: each must
+// be a usage error (exit status 2 with a message), never a panic.
 func TestParseSlides(t *testing.T) {
-	got, err := parseSlides("a:100x200, b:300x400")
-	if err != nil {
-		t.Fatal(err)
+	if bad := os.Getenv("MQSERVER_TEST_SLIDES"); bad != "" {
+		os.Args = []string{"mqserver", "-addr", "127.0.0.1:0", "-metrics", "", "-slides", bad}
+		main()
+		return
 	}
-	if len(got) != 2 || got[0].Name != "a" || got[0].Width != 100 || got[0].Height != 200 ||
-		got[1].Name != "b" || got[1].Width != 300 || got[1].Height != 400 {
-		t.Fatalf("parseSlides = %+v", got)
-	}
-	for _, bad := range []string{"a", "a:100", "a:xx200", "a:100xzz", "a:100x200,b"} {
-		if _, err := parseSlides(bad); err == nil {
-			t.Errorf("parseSlides(%q) should fail", bad)
+	for _, bad := range []string{"s:0x100", "a:100xzz", "a:100x200,b"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestParseSlides$")
+		cmd.Env = append(os.Environ(), "MQSERVER_TEST_SLIDES="+bad)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-slides %q: err %v, want exit status 2\n%s", bad, err, stderr.String())
+		}
+		if out := stderr.String(); strings.Contains(out, "panic:") || !strings.Contains(out, "mqserver: ") {
+			t.Fatalf("-slides %q: want a usage message, got\n%s", bad, out)
 		}
 	}
 }

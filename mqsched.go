@@ -33,8 +33,10 @@
 package mqsched
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -101,6 +103,36 @@ func AlignRect(r Rect, zoom int64, bounds Rect) Rect { return vm.AlignRect(r, zo
 type Slide struct {
 	Name          string
 	Width, Height int64
+}
+
+// ParseSlides parses a comma-separated name:WxH slide list, such as
+// "slide1:16384x16384,slide2:8192x8192", rejecting malformed specs and
+// non-positive sizes.
+func ParseSlides(s string) ([]Slide, error) {
+	var out []Slide
+	for _, part := range strings.Split(s, ",") {
+		name, dims, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("bad slide spec %q (want name:WxH)", part)
+		}
+		ws, hs, ok := strings.Cut(dims, "x")
+		if !ok {
+			return nil, fmt.Errorf("bad slide dims %q (want WxH)", dims)
+		}
+		w, err := strconv.ParseInt(ws, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad slide width %q: %v", ws, err)
+		}
+		h, err := strconv.ParseInt(hs, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad slide height %q: %v", hs, err)
+		}
+		if w < 1 || h < 1 {
+			return nil, fmt.Errorf("slide %q dimensions must be positive", name)
+		}
+		out = append(out, Slide{Name: name, Width: w, Height: h})
+	}
+	return out, nil
 }
 
 // NewSlideTable registers slides (3-byte pixels, 64 KB pages).

@@ -233,3 +233,18 @@ func TestNewRejectsOutOfRangeValues(t *testing.T) {
 		})
 	}
 }
+
+func TestParseSlides(t *testing.T) {
+	got, err := ParseSlides("a:100x200, b:300x400")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != (Slide{"a", 100, 200}) || got[1] != (Slide{"b", 300, 400}) {
+		t.Fatalf("ParseSlides = %+v", got)
+	}
+	for _, bad := range []string{"a", "a:100", "a:xx200", "a:100xzz", "a:100x200,b", "s:0x100", "s:100x-1"} {
+		if _, err := ParseSlides(bad); err == nil {
+			t.Errorf("ParseSlides(%q) should fail", bad)
+		}
+	}
+}
