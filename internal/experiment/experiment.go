@@ -149,8 +149,6 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 		return Metrics{}, err
 	}
 	cfg.Config = st.Config
-	eng, rtm, farm, srv := st.Engine, st.Sim, st.Farm, st.Server
-
 	if queries == nil {
 		queries = cfg.Workload()
 	}
@@ -160,20 +158,16 @@ func RunWorkload(cfg Config, queries [][]vm.Meta) (Metrics, error) {
 	}
 
 	m := responseMetrics(answers)
-	cpuBusy := rtm.CPUUtilization() * float64(cfg.CPUs) * eng.Now().Seconds()
-	diskBusy := farm.Stats().ServiceSum.Seconds()
-	ratio := 0.0
-	if diskBusy > 0 {
-		ratio = cpuBusy / diskBusy
-	}
 	m.Config = cfg
 	m.Policy = st.Policy.Name()
-	m.CPUBusySeconds = cpuBusy
-	m.DiskBusySeconds = diskBusy
-	m.CPUToIORatio = ratio
-	m.DiskUtilization = farm.Utilization()
-	m.Server = srv.Stats()
-	m.Disk = farm.Stats()
+	m.CPUBusySeconds = st.Sim.CPUUtilization() * float64(cfg.CPUs) * st.Engine.Now().Seconds()
+	m.DiskBusySeconds = st.Farm.Stats().ServiceSum.Seconds()
+	if m.DiskBusySeconds > 0 {
+		m.CPUToIORatio = m.CPUBusySeconds / m.DiskBusySeconds
+	}
+	m.DiskUtilization = st.Farm.Utilization()
+	m.Server = st.Server.Stats()
+	m.Disk = st.Farm.Stats()
 	m.PageSpace = st.PageSpace.Stats()
 	m.Graph = st.Graph.Stats()
 	if st.DataStore != nil {
