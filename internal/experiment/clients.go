@@ -44,7 +44,6 @@ func launch(st *stack.Stack, clients []client) ([]answer, error) {
 	// Simulated processes run one at a time, so the shared slices need no
 	// lock.
 	for i, c := range clients {
-		c := c
 		st.Runtime.Spawn(fmt.Sprintf("client-%d", i), func(ctx rt.Ctx) {
 			type pending struct {
 				at time.Duration

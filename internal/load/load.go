@@ -10,9 +10,9 @@
 //     the spirit of TSBS).
 //   - VolumeAnalysts builds the 3-D volume app's analyst workload.
 //
-// Both 2-D generators draw hotspots with pickHotspots and build every window
-// with squareAt. The session stream differs from the paper's clients in
-// three ways that matter for production claims:
+// Every generator builds its windows with squareAt, and the two 2-D ones
+// draw hotspots with pickHotspots. The session stream differs from the
+// paper's clients in three ways that matter for production claims:
 //
 //   - Open loop: arrivals come from a clock (constant / Poisson / burst),
 //     not from query completions, so queueing delay is visible instead of
