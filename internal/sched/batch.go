@@ -54,13 +54,13 @@ func (b Batch) Name() string {
 func (b Batch) Rank(n *Node) float64 {
 	var hot float64
 	if outSize := float64(b.App.QOutSize(n.Meta)); outSize > 0 {
-		for _, e := range n.out.list {
+		for _, e := range n.out {
 			if e.k.state == Waiting {
 				hot += e.w / outSize
 			}
 		}
 	}
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		if e.k.state != Waiting {
 			continue
 		}
@@ -96,15 +96,20 @@ func (g *Graph) DequeueBatch(max int) []*Node {
 			n *Node
 			w float64
 		}
-		cands := make([]cand, 0, len(seed.out.list)+len(seed.in.list))
-		for _, e := range seed.out.list {
+		back := make(map[*Node]float64, len(seed.in))
+		for _, e := range seed.in {
+			back[e.k] = e.w
+		}
+		cands := make([]cand, 0, len(seed.out)+len(seed.in))
+		g.epoch++
+		for _, e := range seed.out {
+			e.k.mark = g.epoch
 			if e.k.state == Waiting {
-				back, _ := e.k.out.weight(seed)
-				cands = append(cands, cand{e.k, e.w + back})
+				cands = append(cands, cand{e.k, e.w + back[e.k]})
 			}
 		}
-		for _, e := range seed.in.list {
-			if _, both := seed.out.weight(e.k); e.k.state == Waiting && !both {
+		for _, e := range seed.in {
+			if e.k.state == Waiting && e.k.mark != g.epoch {
 				cands = append(cands, cand{e.k, e.w})
 			}
 		}

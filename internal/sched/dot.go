@@ -31,7 +31,7 @@ func (g *Graph) DOT() string {
 	for _, id := range ids {
 		n := g.nodes[id]
 		// Deterministic edge order.
-		tgts := append([]edge(nil), n.out.list...)
+		tgts := append([]edge(nil), n.out...)
 		sort.Slice(tgts, func(i, j int) bool { return tgts[i].k.ID < tgts[j].k.ID })
 		for _, e := range tgts {
 			fmt.Fprintf(&b, "  q%d -> q%d [label=\"%.2fMB\"];\n", n.ID, e.k.ID, e.w/(1<<20))

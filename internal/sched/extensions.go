@@ -50,7 +50,7 @@ func (c Combined) Name() string { return fmt.Sprintf("Combined(β=%.2g)", c.Beta
 // Rank implements Policy.
 func (c Combined) Rank(n *Node) float64 {
 	var locality float64
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		switch e.k.state {
 		case Cached:
 			locality += e.w
@@ -86,7 +86,7 @@ func (ResourceAware) Name() string { return "ResourceAware" }
 // Rank implements Policy.
 func (r ResourceAware) Rank(n *Node) float64 {
 	var locality float64
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		switch e.k.state {
 		case Cached:
 			locality += e.w

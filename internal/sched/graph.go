@@ -92,8 +92,10 @@ type Node struct {
 	rank  float64
 	// out holds w(this, k): bytes of this node's result reusable for k;
 	// in holds w(k, this).
-	out edges
-	in  edges
+	out, in []edge
+	// mark is the graph epoch of the last pass that visited the node; it
+	// lets one pass skip a node it has already seen without a set.
+	mark uint64
 
 	heapIdx int // index in the waiting heap, -1 if not enqueued
 }
@@ -118,6 +120,7 @@ type Graph struct {
 	waiting waitHeap
 	nextID  int64
 	nextExc int64
+	epoch   uint64 // see Node.mark
 
 	st GraphStats
 	mx graphMetrics
@@ -234,16 +237,19 @@ func (g *Graph) Enqueue(n *Node) {
 	// Neighbour discovery via the spatial index: overlap requires region
 	// intersection on the same dataset.
 	tree := g.treeFor(n.Meta.Dataset())
+	g.epoch++
 	for _, c := range tree.Search(n.Meta.Region(), nil) {
+		if c.mark == g.epoch {
+			continue // the index can report a node twice
+		}
+		c.mark = g.epoch
 		if w := g.app.Overlap(c.Meta, n.Meta) * float64(g.app.QOutSize(c.Meta)); w > 0 {
-			c.out.add(n, w)
-			n.in.add(c, w)
+			link(c, n, w)
 			g.st.EdgePairs++
 			g.mx.edgePairs.Inc()
 		}
 		if w := g.app.Overlap(n.Meta, c.Meta) * float64(g.app.QOutSize(n.Meta)); w > 0 {
-			n.out.add(c, w)
-			c.in.add(n, w)
+			link(n, c, w)
 			g.st.EdgePairs++
 			g.mx.edgePairs.Inc()
 		}
@@ -361,7 +367,7 @@ func (g *Graph) ExecutingProducers(n *Node) []*Node {
 // optional eligibility filter, ordered by decreasing weight.
 func (g *Graph) producersLocked(n *Node, eligible func(*Node) bool) []*Node {
 	var out []edge
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		if e.k.state == Executing && (eligible == nil || eligible(e.k)) {
 			out = append(out, e)
 		}
@@ -398,7 +404,12 @@ func (g *Graph) BlockableProducers(n *Node) []*Node {
 func (g *Graph) EdgeWeight(src, dst *Node) (float64, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return src.out.weight(dst)
+	for _, e := range src.out {
+		if e.k == dst {
+			return e.w, true
+		}
+	}
+	return 0, false
 }
 
 // Observe forwards a completed query's response time to the ranking policy
@@ -461,86 +472,66 @@ func (g *Graph) updateGaugesLocked() {
 	g.mx.nodes.Set(int64(len(g.nodes)))
 }
 
-// refreshNeighboursLocked recomputes the ranks of every neighbour of n.
+// refreshNeighboursLocked recomputes the ranks of every neighbour of n,
+// once each.
 func (g *Graph) refreshNeighboursLocked(n *Node) {
-	for _, e := range n.out.list {
+	g.epoch++
+	for _, e := range n.out {
+		e.k.mark = g.epoch
 		g.refreshLocked(e.k)
 	}
-	for _, e := range n.in.list {
-		if _, dup := n.out.weight(e.k); !dup {
+	for _, e := range n.in {
+		if e.k.mark != g.epoch {
 			g.refreshLocked(e.k)
 		}
 	}
 }
 
-// detachLocked removes every edge of n and returns its former neighbours.
-func (g *Graph) detachLocked(n *Node) []*Node {
-	former := make([]*Node, 0, len(n.in.list)+len(n.out.list))
-	for _, e := range n.out.list {
-		e.k.in.remove(n)
-		former = append(former, e.k)
-	}
-	for _, e := range n.in.list {
-		e.k.out.remove(n)
-		former = append(former, e.k)
-	}
-	n.out, n.in = edges{}, edges{}
-	return former
-}
-
-// edge is a reuse edge seen from one of its ends: the node at the other end
-// and the weight.
+// edge is a reuse edge as stored at one end: the node at the other end, the
+// weight, and the index of the edge's mirror in that node's opposite list
+// (out ↔ in). Ranking strategies sum over the lists, whose order depends
+// only on the sequence of graph operations, so a rank's floating-point sum
+// rounds the same way on every run (a map's iteration order would not); the
+// mirror index makes removal O(1).
 type edge struct {
-	k *Node
-	w float64
+	k    *Node
+	w    float64
+	twin int
 }
 
-// edges is one side of a node's adjacency. Ranking strategies sum over list,
-// whose order depends only on the order of graph operations, so a rank's
-// floating-point sum rounds the same way on every run (a map's iteration
-// order would not). pos indexes list for lookup and O(1) removal.
-type edges struct {
-	list []edge
-	pos  map[*Node]int
+// link adds the edge src→dst with weight w.
+func link(src, dst *Node, w float64) {
+	src.out = append(src.out, edge{k: dst, w: w, twin: len(dst.in)})
+	dst.in = append(dst.in, edge{k: src, w: w, twin: len(src.out) - 1})
 }
 
-// add sets the weight of the edge to k, appending it if new. The overlap
-// index can report one node twice, so a repeated add overwrites, as a map
-// assignment would.
-func (s *edges) add(k *Node, w float64) {
-	if i, ok := s.pos[k]; ok {
-		s.list[i].w = w
-		return
+// detachLocked removes every edge of n and returns its former neighbours.
+// Each mirror leaves its list by moving the list's last edge into its slot
+// and repointing that edge's own mirror.
+func (g *Graph) detachLocked(n *Node) []*Node {
+	former := make([]*Node, 0, len(n.in)+len(n.out))
+	for _, e := range n.out {
+		l, last := e.k.in, len(e.k.in)-1
+		if m := l[last]; e.twin != last {
+			l[e.twin] = m
+			m.k.out[m.twin].twin = e.twin
+		}
+		l[last] = edge{}
+		e.k.in = l[:last]
+		former = append(former, e.k)
 	}
-	if s.pos == nil {
-		s.pos = map[*Node]int{}
+	for _, e := range n.in {
+		l, last := e.k.out, len(e.k.out)-1
+		if m := l[last]; e.twin != last {
+			l[e.twin] = m
+			m.k.in[m.twin].twin = e.twin
+		}
+		l[last] = edge{}
+		e.k.out = l[:last]
+		former = append(former, e.k)
 	}
-	s.pos[k] = len(s.list)
-	s.list = append(s.list, edge{k, w})
-}
-
-func (s *edges) weight(k *Node) (float64, bool) {
-	i, ok := s.pos[k]
-	if !ok {
-		return 0, false
-	}
-	return s.list[i].w, true
-}
-
-// remove drops the edge to k, moving the last edge into its slot.
-func (s *edges) remove(k *Node) {
-	i, ok := s.pos[k]
-	if !ok {
-		return
-	}
-	last := len(s.list) - 1
-	if i != last {
-		s.list[i] = s.list[last]
-		s.pos[s.list[i].k] = i
-	}
-	s.list[last] = edge{}
-	s.list = s.list[:last]
-	delete(s.pos, k)
+	n.out, n.in = nil, nil
+	return former
 }
 
 func (g *Graph) treeFor(ds string) *spatial.Tree[*Node] {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -521,29 +522,56 @@ func TestRankSumOrderFixed(t *testing.T) {
 	}
 }
 
-// TestEdgesAddOverwrites: adding an edge twice keeps one edge with the
-// latest weight, and removal keeps lookups consistent.
-func TestEdgesAddOverwrites(t *testing.T) {
-	a, b, c := &Node{ID: 1}, &Node{ID: 2}, &Node{ID: 3}
-	var s edges
-	s.add(a, 1)
-	s.add(b, 2)
-	s.add(a, 3)
-	s.add(c, 4)
-	if len(s.list) != 3 {
-		t.Fatalf("%d edges, want 3", len(s.list))
-	}
-	if w, ok := s.weight(a); !ok || w != 3 {
-		t.Fatalf("w(a) = %v,%v, want 3", w, ok)
-	}
-	s.remove(a)
-	s.remove(a)
-	if _, ok := s.weight(a); ok || len(s.list) != 2 {
-		t.Fatalf("after remove: %d edges, a present %v", len(s.list), ok)
-	}
-	for _, n := range []*Node{b, c} {
-		if w, ok := s.weight(n); !ok || w != float64(n.ID*2-2) {
-			t.Fatalf("w(%d) = %v,%v", n.ID, w, ok)
+// TestEdgesStayMirrored drives random inserts, dequeues, caches, removals
+// and cancels, many of them over identical windows (which make the overlap
+// index report a node twice), and checks after every step that each edge's
+// mirror index is right and no neighbour appears twice in one list.
+func TestEdgesStayMirrored(t *testing.T) {
+	g, _ := rig(CNBF{})
+	rng := rand.New(rand.NewSource(3))
+	var live []*Node
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(5); {
+		case op < 2 || len(live) == 0:
+			x := rng.Int63n(3) * 100
+			live = append(live, g.Insert(meta(geom.R(x, 0, x+150, 150))))
+		case op == 2:
+			if d := g.Dequeue(); d != nil {
+				g.MarkCached(d)
+			}
+		case op == 3:
+			i := rng.Intn(len(live))
+			if n := live[i]; n.State() != Waiting {
+				g.Remove(n)
+				live = append(live[:i], live[i+1:]...)
+			}
+		default:
+			i := rng.Intn(len(live))
+			if g.CancelWaiting(live[i]) {
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		for _, n := range g.nodes {
+			seen := map[*Node]bool{}
+			for i, e := range n.out {
+				if m := e.k.in[e.twin]; m.k != n || m.w != e.w || m.twin != i {
+					t.Fatalf("step %d: out edge %d->%d mirrored by %+v", step, n.ID, e.k.ID, m)
+				}
+				if seen[e.k] {
+					t.Fatalf("step %d: node %d has two out-edges to %d", step, n.ID, e.k.ID)
+				}
+				seen[e.k] = true
+			}
+			clear(seen)
+			for i, e := range n.in {
+				if m := e.k.out[e.twin]; m.k != n || m.w != e.w || m.twin != i {
+					t.Fatalf("step %d: in edge %d->%d mirrored by %+v", step, e.k.ID, n.ID, m)
+				}
+				if seen[e.k] {
+					t.Fatalf("step %d: node %d has two in-edges from %d", step, n.ID, e.k.ID)
+				}
+				seen[e.k] = true
+			}
 		}
 	}
 }

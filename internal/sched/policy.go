@@ -36,7 +36,7 @@ func (MUF) Name() string { return "MUF" }
 // Rank implements Policy.
 func (MUF) Rank(n *Node) float64 {
 	var r float64
-	for _, e := range n.out.list {
+	for _, e := range n.out {
 		if e.k.state == Waiting {
 			r += e.w
 		}
@@ -56,7 +56,7 @@ func (FF) Name() string { return "FF" }
 // Rank implements Policy.
 func (FF) Rank(n *Node) float64 {
 	var r float64
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		if e.k.state == Waiting || e.k.state == Executing {
 			r -= e.w
 		}
@@ -81,7 +81,7 @@ func (c CF) Name() string { return fmt.Sprintf("CF(α=%.2g)", c.Alpha) }
 // Rank implements Policy.
 func (c CF) Rank(n *Node) float64 {
 	var r float64
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		switch e.k.state {
 		case Cached:
 			r += e.w
@@ -103,7 +103,7 @@ func (CNBF) Name() string { return "CNBF" }
 // Rank implements Policy.
 func (CNBF) Rank(n *Node) float64 {
 	var r float64
-	for _, e := range n.in.list {
+	for _, e := range n.in {
 		switch e.k.state {
 		case Cached:
 			r += e.w
