@@ -15,9 +15,10 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -372,11 +373,11 @@ func (g *Graph) producersLocked(n *Node, eligible func(*Node) bool) []*Node {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].w != out[j].w {
-			return out[i].w > out[j].w
+	slices.SortFunc(out, func(a, b edge) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
 		}
-		return out[i].k.ID < out[j].k.ID
+		return cmp.Compare(a.k.ID, b.k.ID)
 	})
 	nodes := make([]*Node, len(out))
 	for i, e := range out {
